@@ -1,11 +1,10 @@
-"""Substrate benchmark — the DES kernel and message-fabric fast path.
+"""Substrate benchmark — the DES kernel.
 
-After PRs 3–8 piled differential suites, chaos matrices, and scaling
-benchmarks onto the simulator, the kernel itself became the cost floor
-under every other number in this repo.  This benchmark measures that
-floor: the fast bucketed kernel (the default) against the reference
-heap (``REPRO_NO_FASTKERNEL=1``), on the workloads that dominate real
-runs:
+The kernel is the cost floor under every other number in this repo.
+This benchmark measures that floor: the bundled bucketed kernel
+(:class:`repro.sim.Simulator`) against the reference heap oracle
+(``tests/sim/reference_kernel.py``), on the workloads that dominate
+real runs:
 
 * **burst dispatch** — an advertising-burst-shaped load (thousands of
   same-instant events scheduled from a periodic callback); the gated
@@ -21,11 +20,11 @@ runs:
   measurement noise — see the Substrate section of PERFORMANCE.md);
 * **dispatch anatomy** — walks the pending queue of an armed
   Retransmitter + chaos plan and asserts every entry's callback is
-  closure-free (the allocation regression this PR removes).
+  closure-free.
 
-The raw fast-kernel events/s figure is also published as the
-``sim.events_per_wall_second`` gauge (set after measurement — enabling
-metrics during it would disable the very fast path under test).
+The raw bundled-kernel events/s figure is also published as the
+``sim.events_per_wall_second`` gauge (set after measurement, so the
+per-event counter stays off in the timed region).
 
 Run as a script for the CI smoke benchmark::
 
@@ -43,16 +42,19 @@ import sys
 import time
 
 if __name__ == "__main__":
-    # Allow `python benchmarks/bench_engine.py` from a bare checkout.
-    _src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    if os.path.isdir(_src) and os.path.abspath(_src) not in map(os.path.abspath, sys.path):
-        sys.path.insert(0, os.path.abspath(_src))
+    # Allow `python benchmarks/bench_engine.py` from a bare checkout: the
+    # package lives in src/, the reference oracle under tests/.
+    _root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    for _path in (os.path.join(_root, "src"), _root):
+        if os.path.isdir(_path) and _path not in map(os.path.abspath, sys.path):
+            sys.path.insert(0, _path)
 
 from repro import obs
 from repro.condor import CondorPool, Job, MachineSpec, PoissonOwner, PoolConfig
 from repro.protocols.retry import BackoffPolicy, Retransmitter
-from repro.sim import Network, RngStream, Simulator, set_fast_kernel
+from repro.sim import Network, RngStream, Simulator
 from repro.sim.chaos import ChaosController, ChaosPlan, CrashWindow, PartitionWindow
+from tests.sim.reference_kernel import ReferenceSimulator
 
 from _report import table, write_bench_json, write_report
 
@@ -91,8 +93,8 @@ def _timed_drain(sim, horizon):
     return sim.events_processed / wall, sim.events_processed
 
 
-def bench_burst(fast, rounds, per_round):
-    sim = Simulator(fast=fast)
+def bench_burst(kernel, rounds, per_round):
+    sim = kernel()
     fanout = _Fanout(sim, per_round)
     for r in range(rounds):
         sim.schedule_at(float(r), fanout.fire)
@@ -101,17 +103,17 @@ def bench_burst(fast, rounds, per_round):
     return rate
 
 
-def bench_timer_wheel(fast, tasks, horizon):
-    sim = Simulator(fast=fast)
+def bench_timer_wheel(kernel, tasks, horizon):
+    sim = kernel()
     for i in range(tasks):
         sim.every(1.0 + (i % 97) / 97.0, _noop)
     rate, _ = _timed_drain(sim, horizon)
     return rate
 
 
-def bench_cancel_churn(fast, rounds, per_round):
+def bench_cancel_churn(kernel, rounds, per_round):
     """The claim-timeout shape: most scheduled events get cancelled."""
-    sim = Simulator(fast=fast)
+    sim = kernel()
     gc.collect()
     gc.disable()
     try:
@@ -127,35 +129,32 @@ def bench_cancel_churn(fast, rounds, per_round):
     return rounds * per_round / wall  # scheduled ops (fired + cancelled) per second
 
 
-def bench_pool(fast, horizon=15_000.0):
+def bench_pool(kernel, horizon=15_000.0):
     """Wall time of a small end-to-end pool run under one kernel."""
-    set_fast_kernel(fast)
-    try:
-        specs = [MachineSpec(name=f"m{i}") for i in range(8)]
-        owner_models = {
-            spec.name: PoissonOwner(mean_active=600.0, mean_idle=900.0)
-            for spec in specs
-        }
-        pool = CondorPool(
-            specs,
-            PoolConfig(
-                seed=17,
-                advertise_interval=60.0,
-                negotiation_interval=60.0,
-                network_loss=0.02,
-                network_jitter=0.2,
-            ),
-            owner_models=owner_models,
-        )
-        for i in range(24):
-            pool.submit(Job(owner="alice" if i % 2 else "bob", total_work=700.0))
-        gc.collect()
-        start = time.perf_counter()
-        pool.run_until(horizon)
-        wall = time.perf_counter() - start
-        return wall, pool.sim.events_processed, pool.metrics.jobs_completed
-    finally:
-        set_fast_kernel(None)
+    specs = [MachineSpec(name=f"m{i}") for i in range(8)]
+    owner_models = {
+        spec.name: PoissonOwner(mean_active=600.0, mean_idle=900.0)
+        for spec in specs
+    }
+    pool = CondorPool(
+        specs,
+        PoolConfig(
+            seed=17,
+            advertise_interval=60.0,
+            negotiation_interval=60.0,
+            network_loss=0.02,
+            network_jitter=0.2,
+        ),
+        owner_models=owner_models,
+        sim=kernel(),
+    )
+    for i in range(24):
+        pool.submit(Job(owner="alice" if i % 2 else "bob", total_work=700.0))
+    gc.collect()
+    start = time.perf_counter()
+    pool.run_until(horizon)
+    wall = time.perf_counter() - start
+    return wall, pool.sim.events_processed, pool.metrics.jobs_completed
 
 
 # -- dispatch anatomy -------------------------------------------------------
@@ -187,7 +186,7 @@ class _Probe:
 def check_dispatch_anatomy():
     """Arm the allocation-prone machinery (retransmitter, chaos crash
     and partition schedules, a periodic timer) and inspect the queue."""
-    sim = Simulator(fast=True)
+    sim = Simulator()
     net = Network(sim, rng=RngStream(5), latency=0.01)
     net.register("startd@m0", _noop)
     retransmitter = Retransmitter(
@@ -214,20 +213,20 @@ def sweep(rounds, per_round, repeats):
     def best(fn, *args):
         return max(fn(*args) for _ in range(repeats))
 
-    burst_fast = best(bench_burst, True, rounds, per_round)
-    burst_ref = best(bench_burst, False, rounds, per_round)
-    wheel_fast = best(bench_timer_wheel, True, 500, 2000.0)
-    wheel_ref = best(bench_timer_wheel, False, 500, 2000.0)
-    churn_fast = best(bench_cancel_churn, True, 50, 1000)
-    churn_ref = best(bench_cancel_churn, False, 50, 1000)
+    burst_fast = best(bench_burst, Simulator, rounds, per_round)
+    burst_ref = best(bench_burst, ReferenceSimulator, rounds, per_round)
+    wheel_fast = best(bench_timer_wheel, Simulator, 500, 2000.0)
+    wheel_ref = best(bench_timer_wheel, ReferenceSimulator, 500, 2000.0)
+    churn_fast = best(bench_cancel_churn, Simulator, 50, 1000)
+    churn_ref = best(bench_cancel_churn, ReferenceSimulator, 50, 1000)
     pool_fast_wall, pool_events, pool_jobs_fast = min(
-        (bench_pool(True) for _ in range(repeats)), key=lambda r: r[0]
+        (bench_pool(Simulator) for _ in range(repeats)), key=lambda r: r[0]
     )
     pool_ref_wall, pool_events_ref, pool_jobs_ref = min(
-        (bench_pool(False) for _ in range(repeats)), key=lambda r: r[0]
+        (bench_pool(ReferenceSimulator) for _ in range(repeats)), key=lambda r: r[0]
     )
     assert (pool_events, pool_jobs_fast) == (pool_events_ref, pool_jobs_ref), (
-        "kernels diverged: the fast path changed pool history"
+        "kernels diverged: the bundled kernel changed pool history"
     )
     return {
         "burst_fast": burst_fast,
@@ -261,14 +260,14 @@ def _assert_bars(fig, per_round):
     # (tiny bursts measure call overhead, not the queue discipline).
     if per_round >= 2000:
         assert fig["engine_event_throughput"] >= 2.0, (
-            f"fast kernel is only {fig['engine_event_throughput']:.2f}x the"
+            f"bundled kernel is only {fig['engine_event_throughput']:.2f}x the"
             " reference on burst dispatch; the acceptance bar is 2x"
         )
 
 
 def _run(rounds, per_round, repeats, out_dir=None, label="smoke"):
     check_dispatch_anatomy()
-    obs.disable()  # the timed region must keep the fast paths eligible
+    obs.disable()  # the timed region runs with the per-event counter off
     obs.reset()
     measured = sweep(rounds, per_round, repeats)
     fig = figures(measured)

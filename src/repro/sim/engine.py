@@ -6,36 +6,27 @@ exactly reproducible.  This is the substrate on which the "distributed"
 system runs; the paper's campus pool becomes agents exchanging messages
 over :mod:`repro.sim.network` on this clock.
 
-Profile history: the seed's docstring claimed >95% of full-pool time in
-classad evaluation, so "no further cleverness is warranted here".  PRs
-3–8 removed that 95% (compilation, batching, parallel scoring, refresh
-ads), which inverted the profile — steady-state runs now spend their
-time in the kernel itself.  The soft-state design makes that load
-structural: every agent re-advertises every period, every message is a
-scheduled event, and same-instant delivery bursts are the common case,
-not the corner case.  So the kernel now has a *fast path* tuned for
-exactly those regular shapes:
+Soft state makes the kernel's load regular: every agent re-advertises
+every period, every message is a scheduled event, and same-instant
+delivery bursts are the common case.  The queue is shaped for that:
 
-* heap entries are mutable ``[time, seq, fn, arg]`` records — callers
-  pass ``schedule(delay, fn, arg)`` and no per-event closure is built;
+* entries are mutable ``[time, seq, fn, arg]`` records — callers pass
+  ``schedule(delay, fn, arg)`` and no per-event closure is built;
 * runs of same-timestamp events (an advertising burst, a delivery
   fan-out) land in a FIFO *bucket* instead of the heap: one O(1)
   append/popleft per event instead of an O(log n) push/pop pair;
-* cancellation marks the entry in place (``fn = None``), which both
-  makes ``pending()`` an O(1) live counter and removes the old
-  ``_cancelled`` set — cancelling an already-fired handle is a no-op
-  instead of an unbounded leak;
-* the per-event ``sim.events`` counter bump is hoisted behind the
-  metrics registry's ``enabled`` flag.
+* cancellation marks the entry in place (``fn = None``), so
+  ``pending()`` is an O(1) live counter and cancelling an already-fired
+  handle is a no-op;
+* the per-event ``sim.events`` counter bump sits behind the metrics
+  registry's ``enabled`` flag.
 
 The ``(time, seq)`` total order is load-bearing (every differential,
-chaos, and tracing suite depends on it), so the pre-optimization kernel
-survives as the *reference heap*: ``REPRO_NO_FASTKERNEL=1`` (or
-:func:`set_fast_kernel`\\ ``(False)``) routes every simulator — and the
-network's send fast path — back to it, and
-``tests/sim/test_engine_property.py`` drives both kernels through
-interleaved schedule/cancel/step sequences asserting identical firing
-order.  ``benchmarks/bench_engine.py`` measures the gap and CI gates it
+chaos, and tracing suite depends on it).  ``tests/sim/reference_kernel.py``
+keeps a plain tuple-heap kernel as a test oracle:
+``tests/sim/test_engine_property.py`` drives both through interleaved
+schedule/cancel/step programs asserting identical firing order, and
+``benchmarks/bench_engine.py`` measures the gap that CI gates
 (``engine_event_throughput``).
 """
 
@@ -43,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import Any, Callable, List, Optional
 
@@ -64,48 +54,11 @@ _SIM_EVENT_RATE = _metrics.gauge(
 _NO_ARG = object()
 
 
-# ---------------------------------------------------------------------------
-# kill-switch (mirrors REPRO_NO_COMPILE / REPRO_NO_BATCH / REPRO_NO_REFRESH)
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_NO_FASTKERNEL", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_fast_kernel = not _env_disabled()
-
-
-def fast_kernel_enabled() -> bool:
-    """Whether new simulators use the fast kernel (see
-    ``REPRO_NO_FASTKERNEL``).  Also consulted per-send by the network's
-    allocation-free fast path, so throwing the switch routes *all*
-    substrate shortcuts back to the reference code."""
-    return _fast_kernel
-
-
-def set_fast_kernel(enabled: Optional[bool]) -> None:
-    """Override the kill-switch; ``None`` re-reads the environment.
-
-    Affects simulators constructed afterwards (and the network fast
-    path immediately); an existing :class:`Simulator` keeps the kernel
-    it was born with.
-    """
-    global _fast_kernel
-    _fast_kernel = (not _env_disabled()) if enabled is None else bool(enabled)
-
-
 class EventHandle(list):
     """Returned by schedule(); lets the caller cancel the event.
 
-    In the fast kernel the handle *is* the queue entry — a mutable
-    ``[time, seq, fn, arg]`` list — so scheduling an event allocates
-    exactly one object.  The reference kernel keeps immutable tuples in
-    its heap and hands back a two-element ``[time, seq]`` handle.
+    The handle *is* the queue entry — a mutable ``[time, seq, fn, arg]``
+    list — so scheduling an event allocates exactly one object.
     Ordering is the inherited elementwise list comparison: sequence
     numbers are unique, so two entries always order on ``(time, seq)``
     and callbacks are never compared.
@@ -138,32 +91,21 @@ class Simulator:
         sim.schedule(5.0, handler, message)  # fn called as handler(message)
         sim.every(60.0, advertise)           # periodic timer
         sim.run_until(3600.0)
-
-    Two kernels share this API (see the module docstring): the fast
-    bucketed kernel and the reference heap.  ``fast=None`` (the
-    default) consults :func:`fast_kernel_enabled`.
     """
 
-    def __init__(self, start: float = 0.0, fast: Optional[bool] = None):
+    def __init__(self, start: float = 0.0):
         self.now = start
-        self._fast = _fast_kernel if fast is None else bool(fast)
         self._sequence = itertools.count()
         self.events_processed = 0
-        if self._fast:
-            # Fast kernel: mutable [time, seq, fn, arg] entries; a FIFO
-            # bucket absorbs runs of same-timestamp schedules; _pending
-            # is a live counter maintained by schedule/cancel/step.
-            # Neither container is ever rebound — run loops hold locals.
-            self._heap: List[list] = []
-            self._bucket: deque = deque()
-            self._bucket_time: float = start
-            self._last_time: Optional[float] = None
-            self._pending_count = 0
-        else:
-            # Reference heap: immutable (time, seq, fn, arg) tuples plus
-            # a set of live (not yet fired, not cancelled) sequences.
-            self._heap = []
-            self._live: set = set()
+        # Mutable [time, seq, fn, arg] entries; a FIFO bucket absorbs
+        # runs of same-timestamp schedules; _pending_count is a live
+        # counter maintained by schedule/cancel/step.  Neither container
+        # is ever rebound — run loops hold locals.
+        self._heap: List[list] = []
+        self._bucket: deque = deque()
+        self._bucket_time: float = start
+        self._last_time: Optional[float] = None
+        self._pending_count = 0
         # Forensics: the newest simulator becomes the clock of every
         # recorded stream (events, causal spans, pool series), so
         # everything recorded during a simulation is stamped with
@@ -186,10 +128,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        if not self._fast:
-            return self.schedule_at(self.now + delay, fn, arg)
-        # Inlined fast-path schedule_at (delay >= 0 already proves the
-        # past-check): this is the hottest call in a full-pool run.
+        # Inlined schedule_at (delay >= 0 already proves the past-check):
+        # this is the hottest call in a full-pool run.
         time = self.now + delay
         entry = EventHandle((time, next(self._sequence), fn, arg))
         bucket = self._bucket
@@ -216,12 +156,7 @@ class Simulator:
         """Run *fn* at absolute simulated *time* (see :meth:`schedule`)."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        seq = next(self._sequence)
-        if not self._fast:
-            heapq.heappush(self._heap, (time, seq, fn, arg))
-            self._live.add(seq)
-            return EventHandle((time, seq))
-        entry = EventHandle((time, seq, fn, arg))
+        entry = EventHandle((time, next(self._sequence), fn, arg))
         bucket = self._bucket
         if bucket:
             # Invariant: while the bucket is open at _bucket_time, every
@@ -246,10 +181,7 @@ class Simulator:
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending event; cancelling one that already fired
         (or was already cancelled) is a no-op."""
-        if not self._fast:
-            self._live.discard(handle[1])
-            return
-        if len(handle) == 4 and handle[2] is not None:
+        if handle[2] is not None:
             handle[2] = None
             self._pending_count -= 1
 
@@ -273,7 +205,7 @@ class Simulator:
     # -- execution ---------------------------------------------------------
 
     def _head(self) -> Optional[list]:
-        """Fast kernel: the next live entry (heads cleaned), unpopped."""
+        """The next live entry (heads cleaned), unpopped."""
         heap = self._heap
         while heap and heap[0][2] is None:
             heapq.heappop(heap)
@@ -288,17 +220,19 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None."""
-        if self._fast:
-            head = self._head()
-            return head[0] if head is not None else None
-        heap = self._heap
-        live = self._live
-        while heap and heap[0][1] not in live:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        head = self._head()
+        return head[0] if head is not None else None
 
-    def _fire(self, entry: list) -> None:
-        """Fast kernel: consume one popped entry."""
+    def step(self) -> bool:
+        """Process one event; False when the queue is empty."""
+        entry = self._head()
+        if entry is None:
+            return False
+        # pop whichever structure holds the head
+        if self._bucket and entry is self._bucket[0]:
+            self._bucket.popleft()
+        else:
+            heapq.heappop(self._heap)
         time = entry[0]
         if time < self.now:
             raise AssertionError("causality violation: event in the past")
@@ -314,140 +248,101 @@ class Simulator:
             fn()
         else:
             fn(arg)
-
-    def step(self) -> bool:
-        """Process one event; False when the queue is empty."""
-        if self._fast:
-            head = self._head()
-            if head is None:
-                return False
-            # pop whichever structure holds the head
-            if self._bucket and head is self._bucket[0]:
-                self._bucket.popleft()
-            else:
-                heapq.heappop(self._heap)
-            self._fire(head)
-            return True
-        when = self.peek_time()
-        if when is None:
-            return False
-        time, seq, fn, arg = heapq.heappop(self._heap)
-        self._live.remove(seq)
-        if time < self.now:
-            raise AssertionError("causality violation: event in the past")
-        self.now = time
-        self.events_processed += 1
-        # The reference kernel keeps the seed's unconditional per-event
-        # metrics call (the counter's own guard eats it when disabled) —
-        # hoisting it is part of what the fast kernel buys.
-        _SIM_EVENTS.inc()
-        if arg is _NO_ARG:
-            fn()
-        else:
-            fn(arg)
         return True
 
     def run_until(self, time: float) -> None:
         """Process events up to and including simulated *time*."""
-        if self._fast:
-            # Inlined dispatch loop: no per-event method calls beyond
-            # the callback itself.  The past-event assertion is omitted
-            # here — schedule_at's guard makes it unreachable (step()
-            # still carries it).
-            heap = self._heap
-            bucket = self._bucket
-            registry = _metrics
-            pop_heap = heapq.heappop
-            popleft = bucket.popleft
-            while True:
-                while heap and heap[0][2] is None:
-                    pop_heap(heap)
-                while bucket and bucket[0][2] is None:
-                    popleft()
-                if bucket:
-                    b0 = bucket[0]
-                    if heap and heap[0] < b0:
-                        entry = heap[0]
-                        if entry[0] > time:
-                            break
-                        pop_heap(heap)
-                    else:
-                        # The bucket head wins, and the rest of the
-                        # bucket shares its timestamp: nothing a fired
-                        # callback schedules can preempt the run
-                        # (same-instant schedules append behind us;
-                        # later times go to the heap, which already
-                        # lost).  Drain the run in one tight loop with
-                        # the clock write hoisted and the counters
-                        # batched.  The timestamp re-check guards the
-                        # one escape hatch: if the bucket momentarily
-                        # empties mid-run, a callback can re-open it at
-                        # a later instant.
-                        now_t = b0[0]
-                        if now_t > time:
-                            break
-                        self.now = now_t
-                        fired = 0
-                        while bucket:
-                            entry = bucket[0]
-                            if entry[0] != now_t:
-                                break
-                            popleft()
-                            fn = entry[2]
-                            if fn is None:
-                                continue
-                            entry[2] = None  # cancel-after-fire no-ops
-                            fired += 1
-                            if registry.enabled:
-                                _SIM_EVENTS.inc()
-                            arg = entry[3]
-                            if arg is _NO_ARG:
-                                fn()
-                            else:
-                                fn(arg)
-                        self.events_processed += fired
-                        self._pending_count -= fired
-                        continue
-                elif heap:
+        # Inlined dispatch loop: no per-event method calls beyond the
+        # callback itself.  The past-event assertion is omitted here —
+        # schedule_at's guard makes it unreachable (step() still
+        # carries it).
+        heap = self._heap
+        bucket = self._bucket
+        registry = _metrics
+        pop_heap = heapq.heappop
+        popleft = bucket.popleft
+        while True:
+            while heap and heap[0][2] is None:
+                pop_heap(heap)
+            while bucket and bucket[0][2] is None:
+                popleft()
+            if bucket:
+                b0 = bucket[0]
+                if heap and heap[0] < b0:
                     entry = heap[0]
                     if entry[0] > time:
                         break
                     pop_heap(heap)
                 else:
+                    # The bucket head wins, and the rest of the bucket
+                    # shares its timestamp: nothing a fired callback
+                    # schedules can preempt the run (same-instant
+                    # schedules append behind us; later times go to the
+                    # heap, which already lost).  Drain the run in one
+                    # tight loop with the clock write hoisted and the
+                    # counters batched.  The timestamp re-check guards
+                    # the one escape hatch: if the bucket momentarily
+                    # empties mid-run, a callback can re-open it at a
+                    # later instant.
+                    now_t = b0[0]
+                    if now_t > time:
+                        break
+                    self.now = now_t
+                    fired = 0
+                    while bucket:
+                        entry = bucket[0]
+                        if entry[0] != now_t:
+                            break
+                        popleft()
+                        fn = entry[2]
+                        if fn is None:
+                            continue
+                        entry[2] = None  # cancel-after-fire no-ops
+                        fired += 1
+                        if registry.enabled:
+                            _SIM_EVENTS.inc()
+                        arg = entry[3]
+                        if arg is _NO_ARG:
+                            fn()
+                        else:
+                            fn(arg)
+                    self.events_processed += fired
+                    self._pending_count -= fired
+                    continue
+            elif heap:
+                entry = heap[0]
+                if entry[0] > time:
                     break
-                self.now = entry[0]
-                self.events_processed += 1
-                self._pending_count -= 1
-                fn = entry[2]
-                arg = entry[3]
-                entry[2] = None  # mark fired: cancel-after-fire is a no-op
-                if registry.enabled:
-                    _SIM_EVENTS.inc()
-                if arg is _NO_ARG:
-                    fn()
-                else:
-                    fn(arg)
-            self.now = max(self.now, time)
-            return
-        while True:
-            when = self.peek_time()
-            if when is None or when > time:
+                pop_heap(heap)
+            else:
                 break
-            self.step()
+            self.now = entry[0]
+            self.events_processed += 1
+            self._pending_count -= 1
+            fn = entry[2]
+            arg = entry[3]
+            entry[2] = None  # mark fired: cancel-after-fire is a no-op
+            if registry.enabled:
+                _SIM_EVENTS.inc()
+            if arg is _NO_ARG:
+                fn()
+            else:
+                fn(arg)
         self.now = max(self.now, time)
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Process events until the queue drains (or *max_events*)."""
+        """Process events until the queue drains (or *max_events* have
+        fired; a limit of zero or less fires nothing)."""
         processed = 0
-        while self.step():
-            processed += 1
-            if max_events is not None and processed >= max_events:
+        while max_events is None or processed < max_events:
+            if not self.step():
                 break
+            processed += 1
         return processed
 
     def pending(self) -> int:
         """Number of pending (non-cancelled) events — O(1)."""
-        return self._pending_count if self._fast else len(self._live)
+        return self._pending_count
 
 
 class PeriodicTask:

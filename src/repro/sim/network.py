@@ -18,22 +18,20 @@ behaviours deterministically:
 Handlers are ``fn(message) -> None`` callables registered per contact
 address, mirroring the daemons listening on their command ports.
 
-Throughput: the clean configuration (no chaos, no loss, no jitter —
-the steady-state benchmark shape) takes an allocation-free send fast
-path that schedules ``(deliver, message)`` directly on the kernel; see
-:meth:`Network.send`.  Eligibility is precomputed into ``_fast_send``
-and recomputed on every configuration change, and the
-``REPRO_NO_FASTKERNEL`` kill-switch forces the reference slow path.
+Draw order is part of the contract: a send takes one draw from the
+network's stream for loss (only when ``loss`` is set) and one per
+delivered copy for jitter (only when ``jitter`` is set), so a send on a
+clean network draws nothing and lossy and chaos seeds stay
+reproducible.  The chaos controller draws from its own stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..obs import metrics as _metrics
 from ..obs.causal import causal_log as _causal
-from . import engine as _engine
 from .engine import Simulator
 from .rng import RngStream
 
@@ -88,48 +86,18 @@ class Network:
         self.sim = sim
         self.rng = (rng or RngStream(0)).fork("network")
         self.latency = latency
-        self._jitter = jitter
-        self._loss = loss
+        self.jitter = jitter
+        self.loss = loss
         self.stats = NetworkStats()
         self._handlers: Dict[str, Handler] = {}
         self._down: set = set()
         self._chaos = None  # Optional[repro.sim.chaos.ChaosController]
         self._deliver_cb = self._deliver  # one bound method for every send
-        self._recompute_fast_path()
-
-    # Loss and jitter are exposed as properties so direct configuration
-    # writes (tests and benchmarks mutate them mid-run) keep the
-    # precomputed fast-path eligibility flag honest.
-
-    @property
-    def jitter(self) -> float:
-        return self._jitter
-
-    @jitter.setter
-    def jitter(self, value: float) -> None:
-        self._jitter = value
-        self._recompute_fast_path()
-
-    @property
-    def loss(self) -> float:
-        return self._loss
-
-    @loss.setter
-    def loss(self, value: float) -> None:
-        self._loss = value
-        self._recompute_fast_path()
-
-    def _recompute_fast_path(self) -> None:
-        """Recomputed on every config change (chaos install, loss/jitter
-        writes): when true, sends need no randomness and no chaos
-        consult, so the fixed-latency fast path is eligible."""
-        self._fast_send = self._chaos is None and not self._loss and not self._jitter
 
     def install_chaos(self, controller) -> None:
         """Route every subsequent send through *controller* (see
         :mod:`repro.sim.chaos`); ``None`` uninstalls."""
         self._chaos = controller
-        self._recompute_fast_path()
 
     # -- membership ------------------------------------------------------
 
@@ -165,29 +133,7 @@ class Network:
         loss is decided at send time, delivery state at delivery time —
         a message in flight to a node that crashes mid-flight is lost,
         like a datagram to a dead host.
-
-        Fast path: with no chaos controller, loss, or jitter configured
-        (``_fast_send``), no node down, and the causal/metrics layers
-        off, a send is exactly "deliver after ``latency``" — one direct
-        ``(deliver, message)`` schedule, no closure, no RNG draw, no
-        getattr chain.  The conditions guarantee the slow path would
-        have made byte-identical decisions, so the fast path is pure
-        strength reduction; ``REPRO_NO_FASTKERNEL=1`` disables it along
-        with the kernel fast path.
         """
-        if (
-            self._fast_send
-            and not self._down
-            and not _causal.enabled
-            and not _metrics.enabled
-            and _engine._fast_kernel
-        ):
-            self.stats.sent += 1
-            self.sim.schedule(self.latency, self._deliver_cb, message)
-            return
-        self._send_slow(message)
-
-    def _send_slow(self, message) -> None:
         sender = getattr(message, "sender", None)
         if sender in self._down:
             self.stats.dropped_down += 1
@@ -209,7 +155,7 @@ class Network:
             if sizer is not None:
                 self.stats.bytes_sent += sizer()
                 _NET_BYTES_SENT.set(self.stats.bytes_sent)
-        if self._loss and self.rng.bernoulli(self._loss):
+        if self.loss and self.rng.bernoulli(self.loss):
             self.stats.dropped_loss += 1
             return
         if self._chaos is not None:
@@ -231,8 +177,8 @@ class Network:
 
     def _delay(self) -> float:
         delay = self.latency
-        if self._jitter:
-            delay += self.rng.uniform(0.0, self._jitter)
+        if self.jitter:
+            delay += self.rng.uniform(0.0, self.jitter)
         return delay
 
     def _deliver(self, message) -> None:

@@ -113,6 +113,8 @@ class TestRunUntil:
             sim.schedule(1.0, lambda: None)
         assert sim.run(max_events=4) == 4
         assert sim.pending() == 6
+        assert sim.run(max_events=0) == 0
+        assert sim.pending() == 6
 
 
 class TestPeriodicTask:

@@ -1,7 +1,8 @@
-"""Differential property suite for the two DES kernels.
+"""Differential property suite: the DES kernel against its oracle.
 
-The fast bucketed kernel (the default) and the reference heap
-(``REPRO_NO_FASTKERNEL=1``) must be observationally identical: same
+The bundled bucketed kernel (:class:`repro.sim.Simulator`) and the
+reference heap (``tests/sim/reference_kernel.py``) must be
+observationally identical: same
 firing order, same clock, same ``pending()`` counts, for *any*
 interleaving of ``schedule`` / ``schedule_at`` / ``cancel`` / ``every``
 / ``step`` — including operations issued from inside callbacks, which
@@ -14,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from tests.sim.reference_kernel import ReferenceSimulator
 
 
 class Driver:
     """Interprets one operation program against one kernel, recording
     every observable (firings, clock, pending counts) in a log."""
 
-    def __init__(self, fast: bool):
-        self.sim = Simulator(fast=fast)
+    def __init__(self, kernel):
+        self.sim = kernel()
         self.log = []
         self.handles = []
         self.tasks = []
@@ -49,7 +51,7 @@ class Driver:
             sim.run_until(sim.now + op[1])
         elif kind == "burst":
             # A callback that fans out same-instant events and cancels
-            # one mid-bucket — the pattern the fast kernel optimizes.
+            # one mid-bucket — the pattern the bucket optimizes.
             sim.schedule(op[1], self._burst, (op[2], op[3]))
         self.log.append(("after-op", sim.now, sim.pending(), sim.events_processed))
 
@@ -104,7 +106,7 @@ class TestKernelEquivalence:
     @given(st.lists(operations, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_fast_and_reference_kernels_agree(self, program):
-        drivers = [Driver(fast=True), Driver(fast=False)]
+        drivers = [Driver(Simulator), Driver(ReferenceSimulator)]
         for op in program:
             for driver in drivers:
                 driver.apply(op)
@@ -114,7 +116,7 @@ class TestKernelEquivalence:
     @given(st.lists(st.tuples(delays, tags), max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_handles_agree_across_kernels(self, events):
-        fast, ref = Simulator(fast=True), Simulator(fast=False)
+        fast, ref = Simulator(), ReferenceSimulator()
         for delay, _tag in events:
             a = fast.schedule(delay, lambda: None)
             b = ref.schedule(delay, lambda: None)
@@ -126,7 +128,7 @@ class TestCancellationLeak:
     set forever when the event had already fired."""
 
     def test_cancel_after_fire_leaves_no_residue_fast(self):
-        sim = Simulator(fast=True)
+        sim = Simulator()
         for _ in range(100):
             handle = sim.schedule(1.0, lambda: None)
             sim.run_until(sim.now + 2.0)
@@ -136,7 +138,7 @@ class TestCancellationLeak:
         assert not sim._heap and not sim._bucket
 
     def test_cancel_after_fire_leaves_no_residue_reference(self):
-        sim = Simulator(fast=False)
+        sim = ReferenceSimulator()
         for _ in range(100):
             handle = sim.schedule(1.0, lambda: None)
             sim.run_until(sim.now + 2.0)
@@ -146,18 +148,18 @@ class TestCancellationLeak:
         assert not sim._live
 
     def test_double_cancel_keeps_pending_exact(self):
-        for fast in (True, False):
-            sim = Simulator(fast=fast)
+        for kernel in (Simulator, ReferenceSimulator):
+            sim = kernel()
             handle = sim.schedule(1.0, lambda: None)
             sim.schedule(2.0, lambda: None)
             sim.cancel(handle)
             sim.cancel(handle)
-            assert sim.pending() == 1, f"fast={fast}"
+            assert sim.pending() == 1, kernel.__name__
 
     def test_cancelled_entries_do_not_accumulate(self):
         # Cancel-heavy churn must not grow the queue without bound: dead
         # entries are swept as they reach the head.
-        sim = Simulator(fast=True)
+        sim = Simulator()
         for round_number in range(50):
             handles = [sim.schedule(1.0, lambda: None) for _ in range(20)]
             for handle in handles:

@@ -1,32 +1,27 @@
-"""Fast kernel vs reference kernel: end-to-end differential checks.
+"""Bundled kernel vs reference oracle: end-to-end differential checks.
 
-The `REPRO_NO_FASTKERNEL` kill-switch must be purely a performance
-choice: same-seed pool runs, chaos recordings, and pool snapshots are
-required to be bitwise identical whichever kernel executes them.  These
-tests flip the switch with :func:`set_fast_kernel` and compare whole
-artifacts, plus unit-check the network send fast path's eligibility
-bookkeeping.
+Same-seed pool runs, chaos recordings, and pool snapshots must be
+bitwise identical whether the bundled :class:`repro.sim.Simulator` or
+the reference heap oracle (``tests/sim/reference_kernel.py``) executes
+them.  The pool test hands ``CondorPool`` the oracle directly; the CLI
+chaos recordings swap the ``Simulator`` name that ``repro.condor.pool``
+constructs.  Both compare whole artifacts.
 """
 
 import json
 
 import pytest
 
+import repro.condor.pool
 from repro.cli import main
 from repro.condor import CondorPool, Job, MachineSpec, PoissonOwner, PoolConfig
 from repro.obs import metrics
-from repro.sim import Network, RngStream, Simulator, set_fast_kernel
+from repro.sim import Network, Simulator
+from tests.sim.reference_kernel import ReferenceSimulator
+from tests.sim.test_network import _SizedPing
 
 
-def with_kernel(fast, fn):
-    set_fast_kernel(fast)
-    try:
-        return fn()
-    finally:
-        set_fast_kernel(None)
-
-
-def run_pool_fingerprint():
+def run_pool_fingerprint(sim=None):
     specs = [MachineSpec(name=f"m{i}") for i in range(5)]
     owner_models = {
         spec.name: PoissonOwner(mean_active=600.0, mean_idle=900.0) for spec in specs
@@ -41,6 +36,7 @@ def run_pool_fingerprint():
             network_jitter=0.5,
         ),
         owner_models=owner_models,
+        sim=sim,
     )
     for i in range(12):
         pool.submit(Job(owner="alice" if i % 2 else "bob", total_work=700.0))
@@ -59,8 +55,8 @@ def run_pool_fingerprint():
 
 class TestPoolDifferential:
     def test_pool_history_and_snapshot_identical_across_kernels(self):
-        fast = with_kernel(True, run_pool_fingerprint)
-        reference = with_kernel(False, run_pool_fingerprint)
+        fast = run_pool_fingerprint()
+        reference = run_pool_fingerprint(ReferenceSimulator())
         assert fast == reference
 
 
@@ -69,9 +65,9 @@ class TestChaosRecordingDifferential:
     def recordings(self, tmp_path_factory):
         """Same-seed cm-crash recordings: two per kernel mode."""
         runs = {}
-        for mode, fast in (("fast", True), ("reference", False)):
-            set_fast_kernel(fast)
-            try:
+        for mode, kernel in (("fast", Simulator), ("reference", ReferenceSimulator)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(repro.condor.pool, "Simulator", kernel)
                 for attempt in ("one", "two"):
                     base = tmp_path_factory.mktemp(f"{mode}-{attempt}")
                     paths = {
@@ -86,8 +82,6 @@ class TestChaosRecordingDifferential:
                     )
                     assert code == 0
                     runs[(mode, attempt)] = paths
-            finally:
-                set_fast_kernel(None)
         return runs
 
     @staticmethod
@@ -122,37 +116,9 @@ class TestChaosRecordingDifferential:
         )
 
 
-class _SizedPing:
-    def __init__(self, sender, recipient, payload=0):
-        self.sender = sender
-        self.recipient = recipient
-        self.payload = payload
-
-    def wire_size(self):
-        return 100
-
-
 class TestNetworkFastPath:
-    def test_eligibility_tracks_configuration(self):
-        net = Network(Simulator(), latency=0.1)
-        assert net._fast_send
-        net.loss = 0.2
-        assert not net._fast_send
-        net.loss = 0.0
-        assert net._fast_send
-        net.jitter = 1.0
-        assert not net._fast_send
-        net.jitter = 0.0
-        assert net._fast_send
-
-    def test_chaos_install_disables_fast_send(self):
-        from repro.sim.chaos import ChaosController, ChaosPlan
-
-        net = Network(Simulator(), latency=0.1)
-        net.install_chaos(ChaosController(ChaosPlan()))
-        assert not net._fast_send
-        net.install_chaos(None)
-        assert net._fast_send
+    """Sends with metrics off skip wire sizing; they must deliver
+    exactly as sends with metrics on do."""
 
     def test_fast_and_slow_paths_deliver_identically(self):
         def run(force_slow):
@@ -172,35 +138,3 @@ class TestNetworkFastPath:
             return ([m.payload for m in inbox], net.stats.sent, sim.now)
 
         assert run(force_slow=False) == run(force_slow=True)
-
-    def test_revive_is_schedulable_without_closure(self):
-        sim = Simulator()
-        net = Network(sim, latency=0.1)
-        inbox = []
-        net.register("b", inbox.append)
-        net.set_down("b")
-        sim.schedule(1.0, net.revive, "b")
-        sim.schedule(2.0, net.send, _SizedPing("a", "b", 7))
-        sim.run()
-        assert [m.payload for m in inbox] == [7]
-
-    def test_bytes_sent_counts_only_while_metrics_enabled(self):
-        sim = Simulator()
-        net = Network(sim, latency=0.1)
-        net.register("b", lambda m: None)
-        net.send(_SizedPing("a", "b"))  # metrics off: not sized
-        assert net.stats.bytes_sent == 0
-        metrics.enable()
-        try:
-            net.send(_SizedPing("a", "b"))
-            assert net.stats.bytes_sent == 100
-
-            class Unsized:
-                sender = "a"
-                recipient = "b"
-
-            net.send(Unsized())  # no wire_size method → contributes 0
-        finally:
-            metrics.disable()
-            metrics.reset()
-        assert net.stats.bytes_sent == 100

@@ -3,7 +3,10 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import metrics
 from repro.sim import Network, RngStream, Simulator
 
 
@@ -12,6 +15,16 @@ class Ping:
     sender: str
     recipient: str
     payload: int = 0
+
+
+class _SizedPing:
+    def __init__(self, sender, recipient, payload=0):
+        self.sender = sender
+        self.recipient = recipient
+        self.payload = payload
+
+    def wire_size(self):
+        return 100
 
 
 class TestDelivery:
@@ -214,3 +227,73 @@ class TestChaosFabric:
         sim.run()
         assert net.stats.dropped_loss + net.stats.delivered == 200
         assert 60 < net.stats.dropped_loss < 140
+
+
+class TestSendPath:
+    @given(
+        latency=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+        offsets=st.lists(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=30
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_clean_send_draws_nothing_and_arrives_after_latency(
+        self, latency, offsets
+    ):
+        # Lossy and chaos seeds depend on draw order: a send on a clean
+        # network (no loss, no jitter, no chaos) must not touch the
+        # network's stream, and arrives exactly ``latency`` later.
+        sim = Simulator()
+        net = Network(sim, rng=RngStream(11), latency=latency)
+        arrivals = []
+        net.register("b", lambda m: arrivals.append((m.payload, sim.now)))
+        expected = []
+        for i, offset in enumerate(offsets):
+            sim.schedule(offset, net.send, Ping("a", "b", i))
+            expected.append((i, offset + latency))
+        sim.run()
+        assert sorted(arrivals) == expected
+        assert net.stats.sent == net.stats.delivered == len(offsets)
+        # The stream's next draw is still a fresh stream's first one.
+        assert net.rng.random() == RngStream(11).fork("network").random()
+
+    def test_lossy_send_draws_once_per_send(self):
+        sim = Simulator()
+        net = Network(sim, rng=RngStream(11), latency=0.05, loss=0.5)
+        net.register("b", lambda m: None)
+        net.send(Ping("a", "b"))
+        reference = RngStream(11).fork("network")
+        reference.random()  # the loss draw
+        assert net.rng.random() == reference.random()
+
+    def test_revive_is_schedulable_without_closure(self):
+        sim = Simulator()
+        net = Network(sim, latency=0.1)
+        inbox = []
+        net.register("b", inbox.append)
+        net.set_down("b")
+        sim.schedule(1.0, net.revive, "b")
+        sim.schedule(2.0, net.send, _SizedPing("a", "b", 7))
+        sim.run()
+        assert [m.payload for m in inbox] == [7]
+
+    def test_bytes_sent_counts_only_while_metrics_enabled(self):
+        sim = Simulator()
+        net = Network(sim, latency=0.1)
+        net.register("b", lambda m: None)
+        net.send(_SizedPing("a", "b"))  # metrics off: not sized
+        assert net.stats.bytes_sent == 0
+        metrics.enable()
+        try:
+            net.send(_SizedPing("a", "b"))
+            assert net.stats.bytes_sent == 100
+
+            class Unsized:
+                sender = "a"
+                recipient = "b"
+
+            net.send(Unsized())  # no wire_size method → contributes 0
+        finally:
+            metrics.disable()
+            metrics.reset()
+        assert net.stats.bytes_sent == 100
