@@ -36,6 +36,7 @@ if __name__ == "__main__":
 from repro.classads import ClassAd
 from repro.classads import compile as compiled_path
 from repro.classads import evaluator as interpreted_path
+from repro.config import override
 
 from _report import rows_to_dicts, table, write_bench_json, write_report
 
@@ -100,20 +101,18 @@ def measure(rounds=20_000, repeats=5, cold_batches=200):
     repeat) because a single cold round is too short to time.
     """
     job, machine = build_pair()
-    enabled_before = compiled_path.compilation_enabled()
     best = {"interpreted": float("inf"), "cold": float("inf"), "warm": float("inf")}
-    try:
-        compiled_path.set_compilation(True)
+    with override(compile=True):
         _rounds(compiled_path.evaluate_attribute, job, machine, 100)  # warm-up
-        for _ in range(repeats):
-            compiled_path.set_compilation(False)
+    for _ in range(repeats):
+        with override(compile=False):
             start = time.perf_counter()
             _rounds(compiled_path.evaluate_attribute, job, machine, rounds)
             best["interpreted"] = min(
                 best["interpreted"], (time.perf_counter() - start) / rounds
             )
 
-            compiled_path.set_compilation(True)
+        with override(compile=True):
             start = time.perf_counter()
             for _ in range(cold_batches):
                 _drop_caches(job, machine)
@@ -128,8 +127,6 @@ def measure(rounds=20_000, repeats=5, cold_batches=200):
             best["warm"] = min(
                 best["warm"], (time.perf_counter() - start) / rounds
             )
-    finally:
-        compiled_path.set_compilation(enabled_before)
     return best
 
 

@@ -36,7 +36,8 @@ if __name__ == "__main__":
 
 from bench_scalability import build_pool, build_requests
 
-from repro.matchmaking import CycleStats, batching_enabled, negotiation_cycle, set_batching
+from repro.config import Switches, override
+from repro.matchmaking import CycleStats, negotiation_cycle
 from repro.matchmaking import parallel as par
 from repro.sim import RngStream
 
@@ -46,13 +47,49 @@ HEADERS = ["workers", "cycle", "speedup", "chunks", "pairs", "serialize",
            "ipc", "score", "merge", "commit"]
 
 
-def _timed_cycle(requests, providers, parallel):
+def _timed_cycle(requests, providers):
     stats = CycleStats()
     start = time.perf_counter()
-    assignments = negotiation_cycle(
-        requests, providers, stats=stats, parallel=parallel
-    )
+    assignments = negotiation_cycle(requests, providers, stats=stats)
     return assignments, time.perf_counter() - start, stats
+
+
+def _sweep_row(requests, providers, repeats, workers, serial_best, reference):
+    """One sweep row: the best of *repeats* cycles on *workers* workers."""
+    _timed_cycle(requests, providers)  # warm pool + caches
+    pool = par.scoring_pool()
+    best = float("inf")
+    best_stages = None
+    stats = None
+    for _ in range(repeats):
+        pool.reset_stage_seconds()
+        assignments, elapsed, stats = _timed_cycle(requests, providers)
+        got = [
+            (a.submitter, a.provider.evaluate("Name"))
+            for a in assignments
+        ]
+        if reference is not None:
+            assert got == reference, (
+                f"{workers}-worker assignments diverged from serial"
+            )
+        if elapsed < best:
+            best = elapsed
+            best_stages = dict(pool.stage_seconds)
+    parent = (best_stages["serialize"] + best_stages["ipc"]
+              + best_stages["merge"])
+    commit = max(0.0, best - parent - best_stages["score"])
+    return (
+        workers,
+        f"{1000 * best:.1f}ms",
+        f"{serial_best / best:.2f}x",
+        stats.parallel_chunks,
+        stats.parallel_pairs_scored,
+        f"{1000 * best_stages['serialize']:.1f}ms",
+        f"{1000 * best_stages['ipc']:.1f}ms",
+        f"{1000 * best_stages['score']:.1f}ms",
+        f"{1000 * best_stages['merge']:.1f}ms",
+        f"{1000 * commit:.1f}ms",
+    )
 
 
 def worker_sweep(n_machines, n_requests, repeats, worker_counts):
@@ -64,66 +101,26 @@ def worker_sweep(n_machines, n_requests, repeats, worker_counts):
     rng = RngStream(n_machines, "sweep")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
-    batching_before = batching_enabled()
-    workers_before = par.scoring_workers()
-    threshold_before = par.pair_threshold()
     rows = []
     try:
-        set_batching(True)
-        par.set_pair_threshold(0)  # the sweep measures the tier, not the bar
-        _, serial_best, _ = _timed_cycle(requests, providers, False)
-        reference = None
-        for _ in range(repeats - 1):
-            assignments, elapsed, _ = _timed_cycle(requests, providers, False)
-            serial_best = min(serial_best, elapsed)
-            reference = [
-                (a.submitter, a.provider.evaluate("Name")) for a in assignments
-            ]
-        rows.append((0, f"{1000 * serial_best:.1f}ms", "1.00x", 0, 0,
-                     "-", "-", "-", "-", f"{1000 * serial_best:.1f}ms"))
-        for workers in worker_counts:
-            par.set_scoring_workers(workers)
-            _timed_cycle(requests, providers, True)  # warm pool + caches
-            pool = par.scoring_pool()
-            best = float("inf")
-            best_stages = None
-            stats = None
-            for _ in range(repeats):
-                pool.reset_stage_seconds()
-                assignments, elapsed, stats = _timed_cycle(
-                    requests, providers, True
-                )
-                got = [
-                    (a.submitter, a.provider.evaluate("Name"))
-                    for a in assignments
+        # the sweep measures the tier, not the bar
+        with override(batch=True, scoring_workers=0, pair_threshold=0):
+            _, serial_best, _ = _timed_cycle(requests, providers)
+            reference = None
+            for _ in range(repeats - 1):
+                assignments, elapsed, _ = _timed_cycle(requests, providers)
+                serial_best = min(serial_best, elapsed)
+                reference = [
+                    (a.submitter, a.provider.evaluate("Name")) for a in assignments
                 ]
-                if reference is not None:
-                    assert got == reference, (
-                        f"{workers}-worker assignments diverged from serial"
-                    )
-                if elapsed < best:
-                    best = elapsed
-                    best_stages = dict(pool.stage_seconds)
-            parent = (best_stages["serialize"] + best_stages["ipc"]
-                      + best_stages["merge"])
-            commit = max(0.0, best - parent - best_stages["score"])
-            rows.append((
-                workers,
-                f"{1000 * best:.1f}ms",
-                f"{serial_best / best:.2f}x",
-                stats.parallel_chunks,
-                stats.parallel_pairs_scored,
-                f"{1000 * best_stages['serialize']:.1f}ms",
-                f"{1000 * best_stages['ipc']:.1f}ms",
-                f"{1000 * best_stages['score']:.1f}ms",
-                f"{1000 * best_stages['merge']:.1f}ms",
-                f"{1000 * commit:.1f}ms",
-            ))
-            par.shutdown_scoring_pool()
+            rows.append((0, f"{1000 * serial_best:.1f}ms", "1.00x", 0, 0,
+                         "-", "-", "-", "-", f"{1000 * serial_best:.1f}ms"))
+            for workers in worker_counts:
+                with override(scoring_workers=workers):
+                    rows.append(_sweep_row(requests, providers, repeats,
+                                           workers, serial_best, reference))
+                par.shutdown_scoring_pool()
     finally:
-        set_batching(batching_before)
-        par.set_pair_threshold(threshold_before)
-        par.set_scoring_workers(workers_before)
         par.shutdown_scoring_pool()
     return rows, serial_best
 
@@ -134,20 +131,15 @@ def threshold_anatomy(n_machines, n_requests, workers=2):
     rng = RngStream(n_machines, "threshold")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
-    batching_before = batching_enabled()
-    workers_before = par.scoring_workers()
-    threshold_before = par.pair_threshold()
     out = {}
     try:
-        set_batching(True)
-        par.set_scoring_workers(workers)
         for label, threshold in (
             ("always", 0),
-            ("default", par.DEFAULT_PAIR_THRESHOLD),
+            ("default", Switches().pair_threshold),
             ("never", 10 * n_machines + 1),
         ):
-            par.set_pair_threshold(threshold)
-            _, _, stats = _timed_cycle(requests, providers, True)
+            with override(batch=True, scoring_workers=workers, pair_threshold=threshold):
+                _, _, stats = _timed_cycle(requests, providers)
             out[label] = {
                 "threshold": threshold,
                 "pairs_scored": stats.parallel_pairs_scored,
@@ -155,9 +147,6 @@ def threshold_anatomy(n_machines, n_requests, workers=2):
                 "fallbacks": stats.parallel_fallbacks,
             }
     finally:
-        set_batching(batching_before)
-        par.set_pair_threshold(threshold_before)
-        par.set_scoring_workers(workers_before)
         par.shutdown_scoring_pool()
     return out
 

@@ -32,13 +32,12 @@ if __name__ == "__main__":
 
 from repro import obs
 from repro.classads import ClassAd
+from repro.config import override
 from repro.matchmaking import (
     CycleStats,
     Matchmaker,
     ProviderIndex,
-    batching_enabled,
     negotiation_cycle,
-    set_batching,
 )
 from repro.matchmaking import parallel as par
 from repro.sim import RngStream
@@ -234,9 +233,7 @@ def _measure_overhead(n_machines, n_requests, repeats):
     rng = RngStream(n_machines, "pool")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"))
-    batching_before = batching_enabled()
-    set_batching(False)
-    try:
+    with override(batch=False):
         run_cycle(providers, requests, True)  # warm-up
         best = {
             "off": float("inf"),
@@ -303,8 +300,6 @@ def _measure_overhead(n_machines, n_requests, repeats):
             obs.causal_log.disable()
             obs.event_log.reset()
             obs.event_log.disable()
-    finally:
-        set_batching(batching_before)
     return best, ratios, matched, events_recorded
 
 
@@ -315,28 +310,20 @@ def _measure_compile_speedup(n_machines, n_requests, repeats):
     warm cache (the steady state of a long-lived matchmaker); the
     interpreter runs are the ``REPRO_NO_COMPILE=1`` behaviour.
     """
-    from repro.classads import compile as compiled_path
-
     rng = RngStream(n_machines, "pool")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"))
-    enabled_before = compiled_path.compilation_enabled()
-    batching_before = batching_enabled()
-    set_batching(False)  # isolate the evaluator, as the PR 3 bar did
     best = {"compiled": float("inf"), "interpreted": float("inf")}
-    try:
-        compiled_path.set_compilation(True)
-        run_cycle(providers, requests, True)  # warm-up + cache fill
+    with override(batch=False):  # isolate the evaluator, as the PR 3 bar did
+        with override(compile=True):
+            run_cycle(providers, requests, True)  # warm-up + cache fill
         for _ in range(repeats):
-            compiled_path.set_compilation(True)
-            _, elapsed, _ = run_cycle(providers, requests, True)
+            with override(compile=True):
+                _, elapsed, _ = run_cycle(providers, requests, True)
             best["compiled"] = min(best["compiled"], elapsed)
-            compiled_path.set_compilation(False)
-            _, elapsed, _ = run_cycle(providers, requests, True)
+            with override(compile=False):
+                _, elapsed, _ = run_cycle(providers, requests, True)
             best["interpreted"] = min(best["interpreted"], elapsed)
-    finally:
-        compiled_path.set_compilation(enabled_before)
-        set_batching(batching_before)
     return best
 
 
@@ -355,32 +342,25 @@ def _measure_batch_speedup(n_machines, n_requests, repeats, distinct=12):
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"), distinct=distinct)
     persistent = ProviderIndex(providers)
-    batching_before = batching_enabled()
     best = {"unbatched": float("inf"), "batched": float("inf")}
     classes = 0
-    try:
-        set_batching(True)
-        negotiation_cycle(requests, providers, index=persistent)  # warm-up
-        for _ in range(repeats):
-            set_batching(False)
-            start = time.perf_counter()
-            index = ProviderIndex(providers)  # PR 3 rebuilt this per cycle
-            baseline = negotiation_cycle(requests, providers, index=index)
-            best["unbatched"] = min(best["unbatched"], time.perf_counter() - start)
+    negotiation_cycle(requests, providers, index=persistent, batch=True)  # warm-up
+    for _ in range(repeats):
+        start = time.perf_counter()
+        index = ProviderIndex(providers)  # PR 3 rebuilt this per cycle
+        baseline = negotiation_cycle(requests, providers, index=index, batch=False)
+        best["unbatched"] = min(best["unbatched"], time.perf_counter() - start)
 
-            set_batching(True)
-            stats = CycleStats()
-            start = time.perf_counter()
-            batched = negotiation_cycle(
-                requests, providers, index=persistent, stats=stats
-            )
-            best["batched"] = min(best["batched"], time.perf_counter() - start)
-            classes = stats.request_classes
-            assert [
-                (a.submitter, a.provider.evaluate("Name")) for a in baseline
-            ] == [(a.submitter, a.provider.evaluate("Name")) for a in batched]
-    finally:
-        set_batching(batching_before)
+        stats = CycleStats()
+        start = time.perf_counter()
+        batched = negotiation_cycle(
+            requests, providers, index=persistent, stats=stats, batch=True
+        )
+        best["batched"] = min(best["batched"], time.perf_counter() - start)
+        classes = stats.request_classes
+        assert [
+            (a.submitter, a.provider.evaluate("Name")) for a in baseline
+        ] == [(a.submitter, a.provider.evaluate("Name")) for a in batched]
     return best, classes
 
 
@@ -396,30 +376,27 @@ def _measure_parallel_speedup(n_machines, n_requests, repeats, workers=4):
     rng = RngStream(n_machines, "parallel")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
-    batching_before = batching_enabled()
-    workers_before = par.scoring_workers()
     best = {"serial": float("inf"), "parallel": float("inf")}
     try:
-        set_batching(True)
-        par.set_scoring_workers(workers)
-        # Warm-up both paths: spawns the pool, ships the provider
-        # chunks, and fills the compile caches on every core.
-        negotiation_cycle(requests, providers, parallel=True)
-        negotiation_cycle(requests, providers, parallel=False)
-        for _ in range(repeats):
-            start = time.perf_counter()
-            serial = negotiation_cycle(requests, providers, parallel=False)
-            best["serial"] = min(best["serial"], time.perf_counter() - start)
+        with override(batch=True, scoring_workers=workers):
+            # Warm-up both paths: spawns the pool, ships the provider
+            # chunks, and fills the compile caches on every core.
+            negotiation_cycle(requests, providers)
+            with override(scoring_workers=0):
+                negotiation_cycle(requests, providers)
+            for _ in range(repeats):
+                with override(scoring_workers=0):
+                    start = time.perf_counter()
+                    serial = negotiation_cycle(requests, providers)
+                    best["serial"] = min(best["serial"], time.perf_counter() - start)
 
-            start = time.perf_counter()
-            parallel = negotiation_cycle(requests, providers, parallel=True)
-            best["parallel"] = min(best["parallel"], time.perf_counter() - start)
-            assert [
-                (a.submitter, a.provider.evaluate("Name")) for a in serial
-            ] == [(a.submitter, a.provider.evaluate("Name")) for a in parallel]
+                start = time.perf_counter()
+                parallel = negotiation_cycle(requests, providers)
+                best["parallel"] = min(best["parallel"], time.perf_counter() - start)
+                assert [
+                    (a.submitter, a.provider.evaluate("Name")) for a in serial
+                ] == [(a.submitter, a.provider.evaluate("Name")) for a in parallel]
     finally:
-        set_batching(batching_before)
-        par.set_scoring_workers(workers_before)
         par.shutdown_scoring_pool()
     return best, best["serial"] / best["parallel"]
 
@@ -427,48 +404,31 @@ def _measure_parallel_speedup(n_machines, n_requests, repeats, workers=4):
 def _measure_parallel_fallback_overhead(n_machines, n_requests, repeats):
     """Per-cycle cost of *configured but declined* parallelism.
 
-    Two degraded shapes, each interleaved against an adjacent baseline
-    cycle with parallelism disabled outright (min paired ratio, as in
-    :func:`_measure_overhead`):
-
-    * workers configured, every class below the pair threshold;
-    * the ``REPRO_NO_PARALLEL`` kill-switch.
-
-    Both must stay within the 5% bar: small pools pay nothing for the
-    parallel plumbing they don't use.
+    Workers configured but every class below the pair threshold,
+    interleaved against an adjacent baseline cycle with no workers (min
+    paired ratio, as in :func:`_measure_overhead`).  It must stay within
+    the 5% bar: small pools pay nothing for the parallel plumbing they
+    don't use.
     """
     rng = RngStream(n_machines, "fallback")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
-    batching_before = batching_enabled()
-    workers_before = par.scoring_workers()
-    threshold_before = par.pair_threshold()
-    ratios = {"threshold": float("inf"), "killswitch": float("inf")}
+    ratios = {"threshold": float("inf")}
     try:
-        set_batching(True)
-        par.set_scoring_workers(2)
-        par.set_pair_threshold(10 * n_machines)  # nothing clears the bar
-        negotiation_cycle(requests, providers)  # warm-up
-        for _ in range(repeats):
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers, parallel=False)
-            off_elapsed = time.perf_counter() - start
+        # nothing clears the bar
+        with override(batch=True, scoring_workers=2, pair_threshold=10 * n_machines):
+            negotiation_cycle(requests, providers)  # warm-up
+            for _ in range(repeats):
+                with override(scoring_workers=0):
+                    start = time.perf_counter()
+                    negotiation_cycle(requests, providers)
+                    off_elapsed = time.perf_counter() - start
 
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers, parallel=True)
-            elapsed = time.perf_counter() - start
-            ratios["threshold"] = min(ratios["threshold"], elapsed / off_elapsed)
-
-            par.set_parallelism(False)
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers)
-            elapsed = time.perf_counter() - start
-            par.set_parallelism(True)
-            ratios["killswitch"] = min(ratios["killswitch"], elapsed / off_elapsed)
+                start = time.perf_counter()
+                negotiation_cycle(requests, providers)
+                elapsed = time.perf_counter() - start
+                ratios["threshold"] = min(ratios["threshold"], elapsed / off_elapsed)
     finally:
-        set_batching(batching_before)
-        par.set_pair_threshold(threshold_before)
-        par.set_scoring_workers(workers_before)
         par.shutdown_scoring_pool()
     return ratios
 

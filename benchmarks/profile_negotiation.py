@@ -5,7 +5,6 @@ Not a test: run it directly to see where cycle time goes.
 
     python benchmarks/profile_negotiation.py [pool_size] [--indexed]
     python benchmarks/profile_negotiation.py 5000 --workers 4
-    python benchmarks/profile_negotiation.py 5000 --workers 4 --no-parallel
 
 With ``--workers N`` the run reports the parallel tier's per-stage
 breakdown (serialize / IPC / score / merge / commit) so the
@@ -39,6 +38,7 @@ sys.path.insert(0, "benchmarks")
 
 from bench_scalability import build_pool, build_requests, run_cycle  # noqa: E402
 
+from repro.config import override  # noqa: E402
 from repro.matchmaking import parallel as par  # noqa: E402
 from repro.sim import RngStream  # noqa: E402
 
@@ -52,10 +52,6 @@ def main() -> None:
         help="fan candidate scoring out to N worker processes",
     )
     parser.add_argument(
-        "--no-parallel", action="store_true",
-        help="force the kill-switch even when --workers is set",
-    )
-    parser.add_argument(
         "--threshold", type=int, default=None, metavar="PAIRS",
         help="override the serial-fallback pair threshold",
     )
@@ -65,53 +61,51 @@ def main() -> None:
     providers = build_pool(args.size, rng.fork("machines"))
     requests = build_requests(100, rng.fork("jobs"))
 
+    changes = {}
     if args.workers:
-        par.set_scoring_workers(args.workers)
+        changes["scoring_workers"] = args.workers
     if args.threshold is not None:
-        par.set_pair_threshold(args.threshold)
-    if args.no_parallel:
-        par.set_parallelism(False)
+        changes["pair_threshold"] = args.threshold
+    with override(**changes) as switches:
+        pool = None
+        if args.workers:
+            # Warm cycle: spawn the pool, upload the chunks, fill the
+            # per-worker compile caches — then profile the steady state.
+            run_cycle(providers, requests, args.indexed)
+            pool = par.scoring_pool()
+            if pool is not None:
+                pool.reset_stage_seconds()
 
-    pool = None
-    if args.workers and not args.no_parallel:
-        # Warm cycle: spawn the pool, upload the chunks, fill the
-        # per-worker compile caches — then profile the steady state.
-        run_cycle(providers, requests, args.indexed)
-        pool = par.scoring_pool()
+        profiler = cProfile.Profile()
+        profiler.enable()
+        started = time.perf_counter()
+        assignments, elapsed, stats = run_cycle(providers, requests, args.indexed)
+        wall = time.perf_counter() - started
+        profiler.disable()
+
+        print(
+            f"pool={args.size} indexed={args.indexed} workers={args.workers}:"
+            f" {len(assignments)} matches in {elapsed * 1000:.0f}ms"
+        )
         if pool is not None:
-            pool.reset_stage_seconds()
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    started = time.perf_counter()
-    assignments, elapsed, stats = run_cycle(providers, requests, args.indexed)
-    wall = time.perf_counter() - started
-    profiler.disable()
-
-    print(
-        f"pool={args.size} indexed={args.indexed} workers={args.workers}"
-        f"{' (kill-switch)' if args.no_parallel else ''}:"
-        f" {len(assignments)} matches in {elapsed * 1000:.0f}ms"
-    )
-    if pool is not None:
-        # Commit is everything the parent did that was not the parallel
-        # tier: sorting, the taken-set walk, preemption, fair share.
-        stages = dict(pool.stage_seconds)
-        parent_stages = stages["serialize"] + stages["ipc"] + stages["merge"]
-        commit = max(0.0, wall - parent_stages - stages["score"])
-        print(
-            f"  stage breakdown: serialize {1000 * stages['serialize']:.1f}ms"
-            f" | ipc {1000 * stages['ipc']:.1f}ms"
-            f" | score {1000 * stages['score']:.1f}ms (in-worker)"
-            f" | merge {1000 * stages['merge']:.1f}ms"
-            f" | commit {1000 * commit:.1f}ms"
-        )
-        print(
-            f"  engaged: {stats.parallel_chunks} chunks,"
-            f" {stats.parallel_pairs_scored} pairs scored,"
-            f" {stats.parallel_fallbacks} serial fallbacks"
-            f" (threshold {par.pair_threshold()} pairs)"
-        )
+            # Commit is everything the parent did that was not the parallel
+            # tier: sorting, the taken-set walk, preemption, fair share.
+            stages = dict(pool.stage_seconds)
+            parent_stages = stages["serialize"] + stages["ipc"] + stages["merge"]
+            commit = max(0.0, wall - parent_stages - stages["score"])
+            print(
+                f"  stage breakdown: serialize {1000 * stages['serialize']:.1f}ms"
+                f" | ipc {1000 * stages['ipc']:.1f}ms"
+                f" | score {1000 * stages['score']:.1f}ms (in-worker)"
+                f" | merge {1000 * stages['merge']:.1f}ms"
+                f" | commit {1000 * commit:.1f}ms"
+            )
+            print(
+                f"  engaged: {stats.parallel_chunks} chunks,"
+                f" {stats.parallel_pairs_scored} pairs scored,"
+                f" {stats.parallel_fallbacks} serial fallbacks"
+                f" (threshold {switches.pair_threshold} pairs)"
+            )
     report = pstats.Stats(profiler)
     report.sort_stats("cumulative")
     report.print_stats(18)

@@ -34,11 +34,9 @@ from .ast import (
 from .classad import ClassAd
 from .compile import (
     CompiledExpr,
-    compilation_enabled,
     compile_expr,
     evaluate,
     evaluate_attribute,
-    set_compilation,
 )
 from .errors import ClassAdException, EvaluationLimitExceeded, LexerError, ParseError
 from .parser import parse, parse_record
@@ -81,11 +79,9 @@ __all__ = [
     "UNDEFINED",
     "UnaryOp",
     "UndefinedType",
-    "compilation_enabled",
     "compile_expr",
     "evaluate",
     "evaluate_attribute",
-    "set_compilation",
     "external_references",
     "is_classad",
     "is_error",

@@ -38,17 +38,17 @@ expressions too large or too deep for a caller's budget (or for the
 compiler's own limits) fall back to the interpreter wholesale, so tiny
 explicit budgets behave exactly as before.
 
-Kill-switch: set ``REPRO_NO_COMPILE=1`` in the environment (or call
-:func:`set_compilation` ``(False)``) and every entry point routes to the
-tree-walking interpreter.  CI runs the fast test tier once in that mode
-so the fallback cannot rot.
+Kill-switch: ``repro.config.switches.compile`` (``REPRO_NO_COMPILE=1``;
+see docs/PERFORMANCE.md "Runtime switches") routes every entry point to
+the tree-walking interpreter.  CI runs the fast test tier once in that
+mode so the fallback cannot rot.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional
 
+from ..config import switches as _switches
 from ..obs import metrics as _metrics
 from . import evaluator as _interp
 from .ast import (
@@ -83,11 +83,9 @@ __all__ = [
     "cache_hits_total",
     "cache_stats",
     "clear_cache",
-    "compilation_enabled",
     "compile_expr",
     "evaluate",
     "evaluate_attribute",
-    "set_compilation",
     "structural_key",
 ]
 
@@ -108,24 +106,6 @@ _MEMO: Dict[tuple, Optional["_Compiled"]] = {}
 _MEMO_LIMIT = 4096
 
 _MISSING = object()
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-_ENABLED = not _env_flag("REPRO_NO_COMPILE")
-
-
-def compilation_enabled() -> bool:
-    """Whether the compiled path is active (see ``REPRO_NO_COMPILE``)."""
-    return _ENABLED
-
-
-def set_compilation(enabled: bool) -> None:
-    """Programmatic kill-switch (benchmarks and tests toggle this)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +830,7 @@ def evaluate(
     Falls back to the interpreter when compilation is disabled, refused,
     or the compiled static charges don't fit the caller's budgets.
     """
-    if not _ENABLED:
+    if not _switches.compile:
         return _interp.evaluate(expr, self_ad, other, max_steps, max_depth)
     compiled = _memo_compile(expr)
     if compiled is None or compiled.size > max_steps or compiled.depth >= max_depth:
@@ -871,7 +851,7 @@ def evaluate_attribute(
     once per ad, and every later (request, provider) pairing reuses the
     cached closure.
     """
-    if not _ENABLED:
+    if not _switches.compile:
         return _interp.evaluate_attribute(ad, name, other, max_steps, max_depth)
     canonical = name.lower()
     expr = ad._fields.get(canonical)
@@ -901,7 +881,7 @@ class CompiledExpr:
 
     def __init__(self, expr: Expr):
         self.expr = expr
-        self._compiled = _memo_compile(expr) if _ENABLED else None
+        self._compiled = _memo_compile(expr) if _switches.compile else None
 
     def evaluate(
         self,
@@ -912,7 +892,7 @@ class CompiledExpr:
     ):
         compiled = self._compiled
         if (
-            not _ENABLED
+            not _switches.compile
             or compiled is None
             or compiled.size > max_steps
             or compiled.depth >= max_depth

@@ -601,8 +601,8 @@ def cmd_chaos(args) -> int:
     import dataclasses
 
     from . import obs
-    from .condor import CondorPool, Job, MachineSpec, PoolConfig
-    from .protocols import reset_message_ids, set_retries
+    from .config import override
+    from .protocols import reset_message_ids
     from .sim.chaos import chaos_profile
 
     plan = chaos_profile(args.profile, horizon=args.horizon)
@@ -623,101 +623,104 @@ def cmd_chaos(args) -> int:
         obs.causal_log.open_file(args.trace)
     if args.series:
         obs.series.open_file(args.series)
+    changes = {}
     if args.no_retry:
-        set_retries(False)
-    # Worker-pool recording: the chaos pools are tiny, so drop the pair
-    # threshold too — otherwise every class would fall back to serial
-    # and the recording would not exercise the parallel tier at all.
-    from .matchmaking import parallel as _parallel
-
-    workers_before = _parallel.scoring_workers()
-    threshold_before = _parallel.pair_threshold()
+        changes["retry"] = False
     if args.workers:
-        _parallel.set_scoring_workers(args.workers)
-        _parallel.set_pair_threshold(0)
+        # Worker-pool recording: the chaos pools are tiny, so drop the
+        # pair threshold too — otherwise every class would fall back to
+        # serial and the recording would not exercise the parallel tier.
+        changes.update(scoring_workers=args.workers, pair_threshold=0)
     try:
-        specs = [
-            MachineSpec(name=f"m{i}", mips=100.0 + 50.0 * (i % 3))
-            for i in range(args.machines)
-        ]
-        pool = CondorPool(
-            specs,
-            config=PoolConfig(
-                seed=plan.seed,
-                advertise_interval=60.0,
-                negotiation_interval=60.0,
-                chaos=plan,
-                chaos_horizon=args.horizon,
-            ),
-        )
-        jobs = [
-            Job(
-                job_id=j,
-                owner="alice" if j % 2 == 0 else "bob",
-                total_work=600.0 + 60.0 * (j % 5),
-            )
-            for j in range(args.jobs)
-        ]
-        pool.submit_all(jobs, arrival_times=[5.0 * j for j in range(len(jobs))])
-        finished_at = pool.run_until_quiescent(
-            check_interval=60.0, max_time=8.0 * args.horizon
-        )
-        done = len(pool.completed_jobs())
-        stats = pool.net.stats
-        # Close the recorded run with the PR 5 robustness counters so
-        # `repro obs report --section robustness` has data to fold in.
-        totals = obs.metrics.totals()
-        obs.event_log.emit(
-            "run.stats",
-            t=finished_at,
-            delivered=stats.delivered,
-            dropped_loss=stats.dropped_loss,
-            dropped_partition=stats.dropped_partition,
-            duplicated=stats.duplicated,
-            dropped_down=stats.dropped_down,
-            **{
-                key.replace(".", "_"): totals[key]
-                for key in (
-                    "retries.sent",
-                    "retries.exhausted",
-                    "leases.renewed",
-                    "leases.expired",
-                    "schedd.leases_lost",
-                    "schedd.duplicate_matches",
-                    "machine.duplicate_claims",
-                    "parallel.chunks",
-                    "parallel.pairs_scored",
-                    "parallel.fallbacks",
-                )
-                if key in totals
-            },
-        )
-        print(f"profile   : {plan.name} (seed {plan.seed})")
-        print(f"jobs      : {done}/{len(jobs)} completed at t={finished_at:.0f}")
-        print(
-            "network   : "
-            f"{stats.delivered} delivered, {stats.dropped_loss} lost, "
-            f"{stats.dropped_partition} partitioned, {stats.duplicated} duplicated, "
-            f"{stats.dropped_down} to-down"
-        )
-        if args.out:
-            print(f"events    : {args.out}")
-        if args.trace:
-            print(f"trace     : {args.trace}")
-        if args.series:
-            print(f"series    : {args.series}")
-        return 0 if done == len(jobs) else 1
+        with override(**changes):
+            return _run_chaos(args, plan)
     finally:
-        if args.no_retry:
-            set_retries(None)
         if args.workers:
-            _parallel.set_scoring_workers(workers_before)
-            _parallel.set_pair_threshold(threshold_before)
-            _parallel.shutdown_scoring_pool()
+            from .matchmaking.parallel import shutdown_scoring_pool
+
+            shutdown_scoring_pool()
         obs.event_log.close_file()
         obs.causal_log.close_file()
         obs.series.close_file()
         obs.disable()
+
+
+def _run_chaos(args, plan) -> int:
+    """Build, load and drain the chaos pool; the exit code of ``chaos``."""
+    from . import obs
+    from .condor import CondorPool, Job, MachineSpec, PoolConfig
+
+    specs = [
+        MachineSpec(name=f"m{i}", mips=100.0 + 50.0 * (i % 3))
+        for i in range(args.machines)
+    ]
+    pool = CondorPool(
+        specs,
+        config=PoolConfig(
+            seed=plan.seed,
+            advertise_interval=60.0,
+            negotiation_interval=60.0,
+            chaos=plan,
+            chaos_horizon=args.horizon,
+        ),
+    )
+    jobs = [
+        Job(
+            job_id=j,
+            owner="alice" if j % 2 == 0 else "bob",
+            total_work=600.0 + 60.0 * (j % 5),
+        )
+        for j in range(args.jobs)
+    ]
+    pool.submit_all(jobs, arrival_times=[5.0 * j for j in range(len(jobs))])
+    finished_at = pool.run_until_quiescent(
+        check_interval=60.0, max_time=8.0 * args.horizon
+    )
+    done = len(pool.completed_jobs())
+    stats = pool.net.stats
+    # Close the recorded run with the PR 5 robustness counters so
+    # `repro obs report --section robustness` has data to fold in.
+    totals = obs.metrics.totals()
+    obs.event_log.emit(
+        "run.stats",
+        t=finished_at,
+        delivered=stats.delivered,
+        dropped_loss=stats.dropped_loss,
+        dropped_partition=stats.dropped_partition,
+        duplicated=stats.duplicated,
+        dropped_down=stats.dropped_down,
+        **{
+            key.replace(".", "_"): totals[key]
+            for key in (
+                "retries.sent",
+                "retries.exhausted",
+                "leases.renewed",
+                "leases.expired",
+                "schedd.leases_lost",
+                "schedd.duplicate_matches",
+                "machine.duplicate_claims",
+                "parallel.chunks",
+                "parallel.pairs_scored",
+                "parallel.fallbacks",
+            )
+            if key in totals
+        },
+    )
+    print(f"profile   : {plan.name} (seed {plan.seed})")
+    print(f"jobs      : {done}/{len(jobs)} completed at t={finished_at:.0f}")
+    print(
+        "network   : "
+        f"{stats.delivered} delivered, {stats.dropped_loss} lost, "
+        f"{stats.dropped_partition} partitioned, {stats.duplicated} duplicated, "
+        f"{stats.dropped_down} to-down"
+    )
+    if args.out:
+        print(f"events    : {args.out}")
+    if args.trace:
+        print(f"trace     : {args.trace}")
+    if args.series:
+        print(f"series    : {args.series}")
+    return 0 if done == len(jobs) else 1
 
 
 # ---------------------------------------------------------------------------

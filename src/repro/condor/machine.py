@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..classads import ClassAd, fingerprint, parse, rank_value
+from ..config import switches as _switches
 from ..matchmaking.match import DEFAULT_POLICY, MatchPolicy, constraints_satisfied
 from ..obs import event_log as _events, metrics as _metrics
 from ..obs.causal import TraceContext, causal_log as _causal
@@ -46,8 +47,6 @@ from ..protocols import (
     Retransmitter,
     TicketAuthority,
     embed_ticket,
-    refresh_enabled,
-    retries_enabled,
     stable_equal,
     verify_claim,
     volatile_values,
@@ -362,7 +361,7 @@ class MachineAgent:
         ad = self.build_ad()
         message = None
         if (
-            refresh_enabled()
+            _switches.refresh
             and self._last_fp is not None
             # Never refresh at the instant the referenced full ad was
             # sent: latency jitter could deliver the Refresh first and
@@ -383,7 +382,7 @@ class MachineAgent:
                     volatile=volatile,
                 )
         if message is None:
-            if refresh_enabled():
+            if _switches.refresh:
                 self._last_ad = ad
                 self._last_fp = fingerprint(ad, exclude=VOLATILE_MACHINE_ATTRS)
                 self._last_full_at = self.sim.now
@@ -496,7 +495,7 @@ class MachineAgent:
         """
         self._pending_notices[notice.match_id] = notice
         self.net.send(notice)
-        if retries_enabled():
+        if _switches.retry:
             self._schedule_notice_retry(notice.match_id, self.max_notice_retries)
         else:
             self._pending_notices.pop(notice.match_id, None)
@@ -511,7 +510,7 @@ class MachineAgent:
         notice = self._pending_notices.get(match_id)
         if notice is None:
             return  # acked
-        if retries_left <= 0 or not retries_enabled():
+        if retries_left <= 0 or not _switches.retry:
             self._pending_notices.pop(match_id, None)
             return  # peer presumed dead; leases cover the rest
         self.net.send(notice)

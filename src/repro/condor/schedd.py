@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..classads import ClassAd, fingerprint
+from ..config import switches as _switches
 from ..obs import metrics as _metrics, tracer as _tracer
 from ..obs.causal import TraceContext, causal_log as _causal, job_trace_id
 from ..protocols import (
@@ -39,8 +40,6 @@ from ..protocols import (
     ResendRequest,
     Retransmitter,
     Withdrawal,
-    refresh_enabled,
-    retries_enabled,
     stable_equal,
     volatile_values,
 )
@@ -202,7 +201,7 @@ class CustomerAgent:
         for match_id, active in list(self._active.items()):
             if (
                 active.lease_duration is not None
-                and retries_enabled()
+                and _switches.retry
                 and now - active.last_ack > active.lease_duration
             ):
                 self._lease_lost(match_id)
@@ -325,7 +324,7 @@ class CustomerAgent:
         self._sequence += 1
         ad = job.to_classad(self.address, self.sim.now)
         key = (job.job_id, collector)
-        cached = self._ad_cache.get(key) if refresh_enabled() else None
+        cached = self._ad_cache.get(key) if _switches.refresh else None
         message = None
         # Same-instant guard: never refresh at the moment the referenced
         # full ad was sent — latency jitter could deliver the Refresh
@@ -348,7 +347,7 @@ class CustomerAgent:
                     volatile=volatile,
                 )
         if message is None:
-            if refresh_enabled():
+            if _switches.refresh:
                 fp = fingerprint(ad, exclude=VOLATILE_JOB_ATTRS)
                 self._ad_cache[key] = (ad, fp, self.sim.now)
             else:
@@ -464,7 +463,7 @@ class CustomerAgent:
             active.last_ack = self.sim.now
             if message.lease is not None:
                 active.lease_duration = message.lease
-        elif retries_enabled():
+        elif _switches.retry:
             # The RA disowned the claim (it crashed or reaped the lease
             # and the teardown notice never reached us): recover now.
             self._lease_lost(message.match_id)

@@ -67,21 +67,13 @@ from .matchmaker import (
     Assignment,
     CycleStats,
     Matchmaker,
-    batching_enabled,
     negotiation_cycle,
-    set_batching,
 )
 from .parallel import (
     CycleScoring,
     ScoringPool,
     ScoringPoolError,
-    pair_threshold,
-    parallelism_enabled,
     scoring_pool,
-    scoring_workers,
-    set_pair_threshold,
-    set_parallelism,
-    set_scoring_workers,
     shutdown_scoring_pool,
 )
 from .query import count_matching, one_way_match, select
@@ -125,11 +117,9 @@ __all__ = [
     "ScoringPoolError",
     "SubmitterRecord",
     "availability_of",
-    "batching_enabled",
     "best_match",
     "current_owner_of",
     "current_rank_of",
-    "set_batching",
     "conjuncts",
     "constraint_holds",
     "constraints_satisfied",
@@ -138,15 +128,9 @@ __all__ = [
     "extract_predicates",
     "negotiation_cycle",
     "one_way_match",
-    "pair_threshold",
-    "parallelism_enabled",
     "rank_candidates",
     "scoring_pool",
-    "scoring_workers",
     "select",
-    "set_pair_threshold",
-    "set_parallelism",
-    "set_scoring_workers",
     "shutdown_scoring_pool",
     "symmetric_match",
 ]

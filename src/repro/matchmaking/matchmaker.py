@@ -28,9 +28,9 @@ class members consume the shared ranked candidate list under the
 per-cycle ``taken`` set.  The batched cycle is assignment-identical to
 the naive scan — same matches, same preemptions, same tie-breaks, and
 (with the event log on) the same forensic event stream, replayed per
-member from the per-class dispositions.  ``REPRO_NO_BATCH=1`` or
-:func:`set_batching` falls back to the naive reference path, mirroring
-PR 3's ``REPRO_NO_COMPILE`` switch.
+member from the per-class dispositions.  The ``batch`` switch
+(``REPRO_NO_BATCH=1``; see docs/PERFORMANCE.md "Runtime switches") falls
+back to the naive reference path, mirroring PR 3's ``compile`` switch.
 
 Since PR 7 the batched engine's per-class candidate construction can
 additionally fan out to a persistent pool of scoring worker *processes*
@@ -38,15 +38,14 @@ additionally fan out to a persistent pool of scoring worker *processes*
 each ``(class, provider)`` pair run on every core, results are merged in
 deterministic provider order, and assignment/preemption/fair-share
 commit stays serial and unchanged — so parallel cycles are bit-for-bit
-identical to serial ones.  ``REPRO_SCORING_WORKERS=<n>`` opts in,
-``REPRO_NO_PARALLEL=1`` kills it, and small classes fall back to the
+identical to serial ones.  ``REPRO_SCORING_WORKERS=<n>`` opts in (0, the
+default, keeps scoring serial), and small classes fall back to the
 serial scorer automatically (IPC overhead dominates tiny pools).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -54,6 +53,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..classads import ClassAd
 from ..classads.ast import Expr, Literal, external_references
 from ..classads.compile import cache_hits_total as _compiled_cache_hits, structural_key
+from ..config import switches as _switches
 from ..obs import event_log as _events, metrics as _metrics, tracer as _tracer
 from . import parallel as _parallel
 from .accounting import Accountant
@@ -108,24 +108,6 @@ def reset_cycle_ids() -> None:
     identical)."""
     global _CYCLE_IDS
     _CYCLE_IDS = itertools.count(1)
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-_BATCH_ENABLED = not _env_flag("REPRO_NO_BATCH")
-
-
-def batching_enabled() -> bool:
-    """Whether request batching is active (see ``REPRO_NO_BATCH``)."""
-    return _BATCH_ENABLED
-
-
-def set_batching(enabled: bool) -> None:
-    """Programmatic kill-switch (benchmarks and tests toggle this)."""
-    global _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
 
 
 def _identity_field(ad: ClassAd, name: str):
@@ -328,7 +310,6 @@ def negotiation_cycle(
     index: Optional[ProviderIndex] = None,
     stats: Optional[CycleStats] = None,
     batch: Optional[bool] = None,
-    parallel: Optional[bool] = None,
 ) -> List[Assignment]:
     """Run one negotiation cycle and return the assignments.
 
@@ -349,17 +330,16 @@ def negotiation_cycle(
     ``CurrentRank`` — Section 4's "it is still interested in hearing
     from higher priority customers".
 
-    ``batch`` overrides the module-level batching switch for this cycle
-    (None follows :func:`batching_enabled`).  Batched and naive cycles
+    ``batch`` overrides the ``batch`` switch for this cycle (None
+    follows ``repro.config.switches.batch``).  Batched and naive cycles
     produce identical assignments; the batched one evaluates each
     distinct (class, provider) pairing once.
 
-    ``parallel`` likewise overrides the parallel-scoring switch (None
-    follows :func:`.parallel.parallelism_enabled`); it engages only on
-    the batched path, only when ``REPRO_SCORING_WORKERS`` configures a
-    worker pool, and only for classes whose candidate pool clears the
-    pair-count threshold — everything else scores serially, and the
-    results are identical either way.
+    Parallel scoring engages only on the batched path, only when the
+    ``scoring_workers`` switch configures a worker pool, and only for
+    classes whose candidate pool clears the ``pair_threshold`` switch —
+    everything else scores serially, and the results are identical
+    either way.
 
     The cycle only *identifies* matches; claiming is the parties' own
     business (separation of matching and claiming).
@@ -374,12 +354,10 @@ def negotiation_cycle(
     base_pruned = stats.constraint_evaluations_saved
     base_classes = stats.request_classes
     base_pairings = stats.pairings_saved
-    use_batch = _BATCH_ENABLED if batch is None else bool(batch)
+    use_batch = _switches.batch if batch is None else bool(batch)
     # Parallel scoring rides on the batched engine only: the naive path
     # is the semantic reference and stays single-core by construction.
-    scoring = (
-        _parallel.cycle_scoring(providers, enabled=parallel) if use_batch else None
-    )
+    scoring = _parallel.cycle_scoring(providers) if use_batch else None
     submitters = list(requests_by_submitter.keys())
     if accountant is not None:
         submitters = accountant.negotiation_order(submitters)
@@ -595,7 +573,7 @@ def negotiation_cycle(
         With a scoring pool attached, the per-pair evaluations fan out
         to worker processes and come back as outcome tuples in candidate
         order; the serial loop below is both the fallback (small
-        classes, kill-switch, worker failure) and the semantic
+        classes, worker failure) and the semantic
         reference — outcome tuples are interchangeable between the two.
         """
         if index is not None:
@@ -918,12 +896,10 @@ class Matchmaker:
         allow_preemption: bool = True,
         use_index: bool = False,
         stats: Optional[CycleStats] = None,
-        parallel: Optional[bool] = None,
     ) -> List[Assignment]:
         """One negotiation cycle over the stored provider ads.
 
-        ``parallel`` overrides the parallel-scoring switch for this
-        cycle; the worker pool itself is persistent (spawned on first
+        The scoring worker pool is persistent (spawned on the first
         parallel cycle, reused by every later one — see
         :meth:`scoring_pool`).
         """
@@ -942,12 +918,11 @@ class Matchmaker:
             allow_preemption=allow_preemption,
             index=index,
             stats=stats,
-            parallel=parallel,
         )
 
     def scoring_pool(self):
         """The persistent scoring worker pool this matchmaker's cycles
-        use, or None when ``REPRO_SCORING_WORKERS`` leaves scoring
+        use, or None when the ``scoring_workers`` switch leaves scoring
         serial.  The pool is shared process-wide (workers hold no
         per-matchmaker state between commands) and is shut down and
         respawned when the worker count changes."""

@@ -35,18 +35,15 @@ stream are bit-for-bit identical to the serial engine (enforced by
 no wall clock and no RNG; scoring is a pure function of the shipped
 ads.
 
-**Configuration.**
+**Configuration** (two fields of ``repro.config.switches``; see
+docs/PERFORMANCE.md "Runtime switches"):
 
-* ``REPRO_SCORING_WORKERS=<n>`` / :func:`set_scoring_workers` — worker
-  count; 0 (the default) leaves scoring serial.
-* ``REPRO_NO_PARALLEL=1`` / :func:`set_parallelism` — kill-switch: the
-  cycle routes everything back through the serial scorer even when
-  workers are configured (mirrors ``REPRO_NO_COMPILE`` /
-  ``REPRO_NO_BATCH``).
-* ``REPRO_PARALLEL_THRESHOLD=<pairs>`` / :func:`set_pair_threshold` —
-  the automatic serial fallback: a class whose candidate pool is
-  smaller than this many pairs is scored in-process, because IPC
-  overhead dominates tiny pools.  Tune it from
+* ``scoring_workers`` (``REPRO_SCORING_WORKERS=<n>``) — worker count;
+  0 (the default) leaves scoring serial.
+* ``pair_threshold`` (``REPRO_PARALLEL_THRESHOLD=<pairs>``) — the
+  automatic serial fallback: a class whose candidate pool is smaller
+  than this many pairs is scored in-process, because IPC overhead
+  dominates tiny pools.  Tune it from
   ``benchmarks/profile_negotiation.py``'s per-stage breakdown.
 
 Failures degrade, never break: a worker crash or serialization surprise
@@ -58,13 +55,13 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..classads import ClassAd
 from ..classads.fingerprint import fingerprint
 from ..classads.serialize import SerializationError, from_json_obj, to_json_obj
+from ..config import switches as _switches
 from ..obs import metrics as _metrics
 from .match import (
     DEFAULT_POLICY,
@@ -81,13 +78,7 @@ __all__ = [
     "ScoringPool",
     "ScoringPoolError",
     "cycle_scoring",
-    "pair_threshold",
-    "parallelism_enabled",
     "scoring_pool",
-    "scoring_workers",
-    "set_pair_threshold",
-    "set_parallelism",
-    "set_scoring_workers",
     "shutdown_scoring_pool",
 ]
 
@@ -104,68 +95,6 @@ _PAR_FALLBACKS = _metrics.counter(
     "class builds scored serially despite parallel configuration "
     "(below threshold, or the pool was unavailable)",
 )
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-#: Default serial-fallback bar: a class build below this many
-#: (class, provider) pairs is cheaper in-process than over IPC
-#: (measured with ``profile_negotiation.py --workers N``; see
-#: docs/PERFORMANCE.md for the tuning walkthrough).
-DEFAULT_PAIR_THRESHOLD = 1024
-
-_WORKERS = _env_int("REPRO_SCORING_WORKERS", 0)
-_PARALLEL_ENABLED = not _env_flag("REPRO_NO_PARALLEL")
-_THRESHOLD = _env_int("REPRO_PARALLEL_THRESHOLD", DEFAULT_PAIR_THRESHOLD)
-
-
-def scoring_workers() -> int:
-    """Configured worker count (0 = scoring stays serial)."""
-    return _WORKERS
-
-
-def set_scoring_workers(n: int) -> None:
-    """Set the worker count; the shared pool is respawned lazily on the
-    next cycle that needs it (and shut down now if the count shrank to
-    zero)."""
-    global _WORKERS
-    _WORKERS = max(0, int(n))
-    if _WORKERS == 0:
-        shutdown_scoring_pool()
-
-
-def parallelism_enabled() -> bool:
-    """Whether parallel scoring is active (see ``REPRO_NO_PARALLEL``)."""
-    return _PARALLEL_ENABLED
-
-
-def set_parallelism(enabled: bool) -> None:
-    """Programmatic kill-switch (benchmarks and tests toggle this)."""
-    global _PARALLEL_ENABLED
-    _PARALLEL_ENABLED = bool(enabled)
-
-
-def pair_threshold() -> int:
-    """Pair count below which a class build falls back to serial."""
-    return _THRESHOLD
-
-
-def set_pair_threshold(pairs: int) -> None:
-    """Tune the serial-fallback bar (0 = always fan out)."""
-    global _THRESHOLD
-    _THRESHOLD = max(0, int(pairs))
 
 
 class ScoringPoolError(RuntimeError):
@@ -473,12 +402,13 @@ def scoring_pool() -> Optional[ScoringPool]:
 
     Spawned on first use, reused across cycles (and across Matchmaker
     instances — workers are stateless between commands), shut down and
-    respawned when :func:`set_scoring_workers` changes the count or the
-    previous pool died.  None when workers are configured to 0 or the
-    pool cannot be spawned.
+    respawned when the ``scoring_workers`` switch changes the count or
+    the previous pool died.  None when workers are configured to 0 or
+    the pool cannot be spawned; a pool left from an earlier count then
+    stays idle until the count returns or :func:`shutdown_scoring_pool`.
     """
     global _POOL
-    workers = scoring_workers()
+    workers = _switches.scoring_workers
     if workers <= 0:
         return None
     if _POOL is not None and (_POOL.workers != workers or not _POOL.alive):
@@ -584,16 +514,13 @@ class CycleScoring:
         return outcomes
 
 
-def cycle_scoring(
-    providers: Sequence[ClassAd], enabled: Optional[bool] = None
-) -> Optional[CycleScoring]:
+def cycle_scoring(providers: Sequence[ClassAd]) -> Optional[CycleScoring]:
     """The cycle-start hook: a :class:`CycleScoring` handle when parallel
-    scoring is configured, enabled, and a pool is available — else None
-    (the cycle stays serial).  *enabled* overrides the module switch for
-    this cycle, mirroring ``negotiation_cycle``'s ``batch`` argument."""
-    if not (_PARALLEL_ENABLED if enabled is None else enabled) or not providers:
+    scoring is configured and a pool is available — else None (the
+    cycle stays serial)."""
+    if not providers:
         return None
     pool = scoring_pool()
     if pool is None:
         return None
-    return CycleScoring(pool, providers, _THRESHOLD)
+    return CycleScoring(pool, providers, _switches.pair_threshold)

@@ -39,16 +39,18 @@ or from the environment before the process starts: ``REPRO_OBS=1``
 enables metrics, ``REPRO_OBS_TRACE=1`` additionally enables spans,
 ``REPRO_OBS_EVENTS=1`` additionally enables the event log,
 ``REPRO_OBS_CAUSAL=1`` the causal trace stream, and
-``REPRO_OBS_SERIES=1`` the pool time series.
+``REPRO_OBS_SERIES=1`` the pool time series (parsed by
+:func:`repro.config.from_env`; see docs/PERFORMANCE.md "Runtime
+switches").
 
 This package must stay import-cycle free: it is imported by the lowest
-layers (classads, sim), so it imports nothing from them.
+layers (classads, sim), so it imports nothing from them (only the
+dependency-free :mod:`repro.config`).
 """
 
 from __future__ import annotations
 
-import os
-
+from ..config import from_env
 from . import export
 from .causal import (
     TRACE_SCHEMA,
@@ -66,25 +68,23 @@ from .timeseries import SERIES_SCHEMA, Sample, SeriesError, SeriesStore, series
 from .tracer import NULL_SPAN, Span, Tracer
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
+_startup = from_env().obs
 
 #: The process-wide metrics registry.  Modules register metrics against
 #: it at import time; the registry survives enable/disable/reset cycles
 #: so those references never go stale.
-metrics = MetricsRegistry(enabled=_env_flag("REPRO_OBS"))
+metrics = MetricsRegistry(enabled="metrics" in _startup)
 
 #: The process-wide span tracer.
-tracer = Tracer(enabled=_env_flag("REPRO_OBS_TRACE"))
+tracer = Tracer(enabled="trace" in _startup)
 
-if _env_flag("REPRO_OBS_EVENTS"):
+if "events" in _startup:
     event_log.enable()
 
-if _env_flag("REPRO_OBS_CAUSAL"):
+if "causal" in _startup:
     causal_log.enable()
 
-if _env_flag("REPRO_OBS_SERIES"):
+if "series" in _startup:
     series.enable()
 
 

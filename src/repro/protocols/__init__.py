@@ -24,8 +24,6 @@ from .advertising import (
     AdStore,
     StoredAd,
     ValidationResult,
-    refresh_enabled,
-    set_refresh,
     stable_equal,
     validate_ad,
     volatile_values,
@@ -55,16 +53,12 @@ from .notify import (
 from .retry import (
     BackoffPolicy,
     Retransmitter,
-    retries_enabled,
-    set_retries,
 )
 from .tickets import ChallengeResponse, Ticket, TicketAuthority
 
 __all__ = [
     "BackoffPolicy",
     "Retransmitter",
-    "retries_enabled",
-    "set_retries",
     "AdStore",
     "Advertisement",
     "ChallengeResponse",
@@ -92,10 +86,8 @@ __all__ = [
     "embed_ticket",
     "make_session_key",
     "next_message_id",
-    "refresh_enabled",
     "reset_message_ids",
     "respond_to_claim",
-    "set_refresh",
     "stable_equal",
     "ticket_from_ad",
     "validate_ad",

@@ -20,9 +20,10 @@ This module provides:
   *volatile* (clock-derived, changing every period by construction, so
   they ride the compact :class:`~repro.protocols.messages.Refresh`
   instead of defeating the fingerprint), the sender-side change
-  detector (:func:`stable_equal` / :func:`volatile_values`), and the
-  ``REPRO_NO_REFRESH=1`` / :func:`set_refresh` kill-switch that forces
-  every advertisement back onto the always-full-ad path.
+  detector (:func:`stable_equal` / :func:`volatile_values`).  The
+  ``refresh`` switch (``REPRO_NO_REFRESH=1``; see docs/PERFORMANCE.md
+  "Runtime switches") forces every advertisement back onto the
+  always-full-ad path.
 
 Expiry is served by a lazily-invalidated heap: every admit/renew pushes
 ``(expires_at, name)`` and :meth:`AdStore.expire` pops entries that are
@@ -33,7 +34,6 @@ or removed — O(k log n) per sweep instead of the old O(n) scan.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -75,35 +75,6 @@ VOLATILE_MACHINE_ATTRS: FrozenSet[str] = frozenset(
 )
 #: Volatile attributes of a job request ad (the advertisement stamp).
 VOLATILE_JOB_ATTRS: FrozenSet[str] = frozenset({"advertisedat"})
-
-
-# -- the refresh fast-path kill-switch (house convention) ----------------
-
-
-def _refresh_env_disabled() -> bool:
-    return os.environ.get("REPRO_NO_REFRESH", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_refresh_enabled = not _refresh_env_disabled()
-
-
-def refresh_enabled() -> bool:
-    """Whether the fingerprinted refresh fast path is active (see
-    ``REPRO_NO_REFRESH``)."""
-    return _refresh_enabled
-
-
-def set_refresh(enabled: Optional[bool]) -> None:
-    """Override the kill-switch; ``None`` re-reads the environment."""
-    global _refresh_enabled
-    _refresh_enabled = (
-        (not _refresh_env_disabled()) if enabled is None else bool(enabled)
-    )
 
 
 # -- sender-side change detection ----------------------------------------

@@ -21,18 +21,19 @@ Receivers de-duplicate (the other half of at-least-once): see the
 replay cache in :mod:`repro.condor.machine` and the match/notice
 de-duplication in :mod:`repro.condor.schedd`.
 
-``REPRO_NO_RETRY=1`` (or :func:`set_retries`\\ ``(False)``) is the
-ablation kill-switch: every retransmission and lease-loss recovery in
-the codebase consults :func:`retries_enabled`, so a chaos run with the
-switch thrown demonstrates what the hardening buys (stranded work).
+The ``retry`` switch (``REPRO_NO_RETRY=1``; see docs/PERFORMANCE.md
+"Runtime switches") is the ablation kill-switch: every retransmission
+and lease-loss recovery in the codebase consults
+``repro.config.switches.retry``, so a chaos run with the switch thrown
+demonstrates what the hardening buys (stranded work).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..config import switches as _switches
 from ..obs import metrics as _metrics
 
 _RETRIES_SENT = _metrics.counter(
@@ -41,30 +42,6 @@ _RETRIES_SENT = _metrics.counter(
 _RETRIES_EXHAUSTED = _metrics.counter(
     "retries.exhausted", "retransmit series that ran out of tries, by message kind"
 )
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_NO_RETRY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_retries_enabled = not _env_disabled()
-
-
-def retries_enabled() -> bool:
-    """Whether protocol retransmission/recovery is active (see
-    ``REPRO_NO_RETRY``)."""
-    return _retries_enabled
-
-
-def set_retries(enabled: Optional[bool]) -> None:
-    """Override the kill-switch; ``None`` re-reads the environment."""
-    global _retries_enabled
-    _retries_enabled = (not _env_disabled()) if enabled is None else bool(enabled)
 
 
 @dataclass(frozen=True)
@@ -92,8 +69,8 @@ DEFAULT_POLICY = BackoffPolicy()
 class Retransmitter:
     """Resends messages on a :class:`BackoffPolicy` schedule.
 
-    ``send`` transmits once unconditionally, then (while
-    :func:`retries_enabled`) arms blind retransmissions that stop as
+    ``send`` transmits once unconditionally, then (while the ``retry``
+    switch is on) arms blind retransmissions that stop as
     soon as ``stop_when()`` returns true — e.g. "the claim is no longer
     pending" — or the try budget is spent.
     """
@@ -113,7 +90,7 @@ class Retransmitter:
     ) -> None:
         self.net.send(message)
         pol = policy if policy is not None else self.policy
-        if retries_enabled() and pol.max_tries > 0:
+        if _switches.retry and pol.max_tries > 0:
             self._arm((message, stop_when, pol, 0))
 
     # The retransmit state rides the kernel's argument slot as one
@@ -126,7 +103,7 @@ class Retransmitter:
 
     def _fire(self, state) -> None:
         message, stop_when, pol, attempt = state
-        if not retries_enabled():
+        if not _switches.retry:
             return
         if stop_when is not None and stop_when():
             return

@@ -34,12 +34,12 @@ every :class:`~repro.condor.pool.CondorPool` via :func:`plan_from_env`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..config import from_env
 from ..obs import event_log as _events
 from .rng import RngStream
 
@@ -278,12 +278,13 @@ def plan_from_env(horizon: float = 3600.0) -> Optional[ChaosPlan]:
     """The profile named by ``REPRO_CHAOS``, or None when unset.
 
     ``REPRO_CHAOS=<profile>[:<seed>]`` optionally overrides the
-    profile's fixed seed."""
-    raw = os.environ.get("REPRO_CHAOS", "").strip()
-    if not raw:
+    profile's fixed seed; it is read (through
+    :func:`repro.config.from_env`) each time a pool is built."""
+    spec = from_env().chaos
+    if spec is None:
         return None
-    name, _, seed = raw.partition(":")
+    name, seed = spec
     plan = chaos_profile(name, horizon=horizon)
-    if seed:
-        plan = replace(plan, seed=int(seed))
+    if seed is not None:
+        plan = replace(plan, seed=seed)
     return plan

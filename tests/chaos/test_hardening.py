@@ -1,5 +1,5 @@
 """Protocol hardening under a lying network: retransmission, duplicate
-suppression, claim leases, and the REPRO_NO_RETRY kill-switch.
+suppression, claim leases, and the ``retry`` kill-switch.
 
 These tests drive the agents directly (no chaos plan) to pin down each
 hardening mechanism in isolation; tests/chaos/test_chaos_pool.py then
@@ -11,13 +11,12 @@ import pytest
 from repro.condor import CondorPool, Job, MachineSpec, MachineState, PoolConfig
 from repro.condor.machine import MachineAgent
 from repro.condor.schedd import CustomerAgent
+from repro.config import override
 from repro.protocols import (
     BackoffPolicy,
     ClaimRequest,
     MatchNotification,
     Retransmitter,
-    retries_enabled,
-    set_retries,
 )
 from repro.sim import Network, RngStream, Simulator
 
@@ -25,9 +24,8 @@ from repro.sim import Network, RngStream, Simulator
 @pytest.fixture()
 def retries_on():
     """Guarantee the kill-switch state is restored after a test."""
-    set_retries(True)
-    yield
-    set_retries(None)
+    with override(retry=True):
+        yield
 
 
 class TestBackoffPolicy:
@@ -78,23 +76,10 @@ class TestRetransmitter:
     def test_kill_switch_sends_exactly_once(self):
         policy = BackoffPolicy(base=1.0, factor=1.0, cap=1.0, jitter=0.0, max_tries=5)
         sim, net, inbox, retx = self.make(policy)
-        set_retries(False)
-        try:
+        with override(retry=False):
             retx.send(ClaimRequest(sender="a", recipient="b", customer_ad=None, ticket=None, match_id=1))
             sim.run_until(100.0)
-        finally:
-            set_retries(None)
         assert len(inbox) == 1
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_RETRY", "1")
-        set_retries(None)  # re-read the environment
-        try:
-            assert not retries_enabled()
-        finally:
-            monkeypatch.delenv("REPRO_NO_RETRY")
-            set_retries(None)
-        assert retries_enabled()
 
 
 def make_claimed_machine(claim_lease=120.0, match_id=77, total_work=100_000.0):
@@ -227,8 +212,7 @@ class TestLeaseProtocol:
         pool = self.make_pool()
         job = Job(job_id=1, owner="alice", total_work=2_000.0)
         pool.submit(job)
-        set_retries(False)
-        try:
+        with override(retry=False):
             pool.start()
             pool.sim.run_until(120.0)
             assert job.state.name == "RUNNING"
@@ -236,8 +220,6 @@ class TestLeaseProtocol:
             machine.crash()
             pool.sim.schedule_at(400.0, machine.restart)
             pool.sim.run_until(30_000.0)
-        finally:
-            set_retries(None)
         assert not job.done
         assert job.state.name == "RUNNING"  # stranded, demonstrably
 

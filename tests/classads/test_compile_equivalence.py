@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from repro.classads import ClassAd, parse, values_identical
 from repro.classads import compile as cc
 from repro.classads import evaluator as interp
+from repro.config import override, switches
 from repro.obs import metrics
 
 from tests.classads.test_properties import classads, expressions
@@ -35,10 +36,8 @@ from tests.classads.test_properties import classads, expressions
 @pytest.fixture(autouse=True)
 def _compiled_mode():
     """Force the compiled path on (the env kill-switch may be set in CI)."""
-    previous = cc.compilation_enabled()
-    cc.set_compilation(True)
-    yield
-    cc.set_compilation(previous)
+    with override(compile=True):
+        yield
 
 
 def both(source_or_expr, self_ad=None, other=None, **kwargs):
@@ -355,30 +354,28 @@ class TestCacheMachinery:
 
 
 class TestKillSwitch:
-    def test_set_compilation_routes_to_interpreter(self):
+    def test_override_routes_to_interpreter(self):
         ad = ClassAd({"Memory": 64})
         ad.set_expr("Constraint", "Memory >= 32")
-        cc.set_compilation(False)
-        try:
-            assert not cc.compilation_enabled()
+        with override(compile=False):
+            assert not switches.compile
             before = cc.cache_stats()
             assert cc.evaluate_attribute(ad, "Constraint") is True
             assert cc.evaluate(parse("1 + 1"), ad) == 2
             assert cc.compile_expr(parse("Memory > 1")).evaluate(ad) is True
             # Disabled path never touches the compiled caches.
             assert cc.cache_stats() == before
-        finally:
-            cc.set_compilation(True)
 
     def test_env_kill_switch(self):
         import subprocess
         import sys
 
         code = (
-            "from repro.classads import ClassAd, compilation_enabled\n"
+            "from repro.classads import ClassAd\n"
+            "from repro.config import switches\n"
             "ad = ClassAd({'Memory': 64})\n"
             "ad.set_expr('Constraint', 'Memory >= 32')\n"
-            "assert not compilation_enabled()\n"
+            "assert not switches.compile\n"
             "assert ad.evaluate('Constraint') is True\n"
             "from repro.classads.compile import cache_stats\n"
             "assert cache_stats()['compiles'] == 0\n"

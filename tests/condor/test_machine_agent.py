@@ -73,17 +73,15 @@ class TestAdvertising:
         assert all(m.name == "machine.m0" for m in ads)
 
     def test_periodic_ads_all_full_with_refresh_disabled(self):
-        from repro.protocols import Advertisement, set_refresh
+        from repro.config import override
+        from repro.protocols import Advertisement
 
-        set_refresh(False)
-        try:
+        with override(refresh=False):
             sim, net, agent, inbox = make_agent(advertise_interval=60.0)
             sim.run_until(200.0)
             ads = [m for m in inbox if isinstance(m, Advertisement)]
             assert len(ads) >= 3
             assert all(m.fingerprint is None for m in ads)
-        finally:
-            set_refresh(None)
 
     def test_ad_contents(self):
         sim, net, agent, inbox = make_agent()

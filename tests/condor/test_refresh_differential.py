@@ -1,7 +1,7 @@
 """Differential tests for the fingerprinted refresh fast path (PR 8).
 
 The refresh protocol is a pure transport optimisation: with it on or off
-(``REPRO_NO_REFRESH=1`` / :func:`set_refresh`), a clean same-seed run
+(the ``refresh`` switch, ``REPRO_NO_REFRESH=1``), a clean same-seed run
 must produce bitwise-identical event streams, job outcomes, and final
 collector state.  Under chaos the two modes consume different RNG draws
 (a ``ResendRequest`` is an extra message), so there we assert the
@@ -19,14 +19,13 @@ import pytest
 from repro import obs
 from repro.condor import CondorPool, Job, MachineSpec, PoolConfig
 from repro.condor.collector import _job_order_key
+from repro.config import override
 from repro.matchmaking.matchmaker import reset_cycle_ids
 from repro.obs.invariants import check_events
 from repro.protocols import (
     Refresh,
     ResendRequest,
-    refresh_enabled,
     reset_message_ids,
-    set_refresh,
 )
 from repro.sim.chaos import PROFILES, chaos_profile
 
@@ -88,31 +87,30 @@ def run_clean(refresh, seed=7):
     obs.reset()
     reset_message_ids()
     reset_cycle_ids()
-    set_refresh(refresh)
     obs.enable(events=True)
     try:
-        pool = _build_pool(seed=seed)
-        sent = []
-        _spy_network(pool, sent)
-        pool.submit_all(_batch(), arrival_times=[5.0 * j for j in range(10)])
-        pool.run_until_quiescent(check_interval=60.0, max_time=100_000.0)
-        # Two cycle.end fields are not protocol outcomes and legitimately
-        # vary: duration_s is wall-clock, and evals_saved counts compiled-
-        # cache hits — the fast path keeps per-ad caches warm (that is the
-        # point), so it reports *more* savings than the full-ad path.
-        drop = {"duration_s", "evals_saved"}
-        events = [
-            (
-                e.t,
-                e.kind,
-                tuple(sorted((k, v) for k, v in e.fields.items() if k not in drop)),
-            )
-            for e in obs.event_log.events()
-        ]
-        outcomes = sorted(_job_outcome(j) for j in pool.jobs())
-        snapshot = pool.collector.snapshot()
+        with override(refresh=refresh):
+            pool = _build_pool(seed=seed)
+            sent = []
+            _spy_network(pool, sent)
+            pool.submit_all(_batch(), arrival_times=[5.0 * j for j in range(10)])
+            pool.run_until_quiescent(check_interval=60.0, max_time=100_000.0)
+            # Two cycle.end fields are not protocol outcomes and legitimately
+            # vary: duration_s is wall-clock, and evals_saved counts compiled-
+            # cache hits — the fast path keeps per-ad caches warm (that is the
+            # point), so it reports *more* savings than the full-ad path.
+            drop = {"duration_s", "evals_saved"}
+            events = [
+                (
+                    e.t,
+                    e.kind,
+                    tuple(sorted((k, v) for k, v in e.fields.items() if k not in drop)),
+                )
+                for e in obs.event_log.events()
+            ]
+            outcomes = sorted(_job_outcome(j) for j in pool.jobs())
+            snapshot = pool.collector.snapshot()
     finally:
-        set_refresh(None)
         obs.disable()
         obs.reset()
     return events, outcomes, snapshot, sent
@@ -147,37 +145,12 @@ class TestCleanRunEquivalence:
         assert bytes_on < bytes_off
 
 
-class TestKillSwitch:
-    def test_env_variable_disables_the_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_REFRESH", "1")
-        set_refresh(None)  # re-read the environment
-        try:
-            assert not refresh_enabled()
-            pool = _build_pool(machines=2)
-            sent = []
-            _spy_network(pool, sent)
-            pool.run_until(400.0)
-            assert not any(isinstance(m, Refresh) for m in sent)
-        finally:
-            monkeypatch.delenv("REPRO_NO_REFRESH", raising=False)
-            set_refresh(None)
-
-    def test_explicit_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_REFRESH", "1")
-        set_refresh(True)
-        try:
-            assert refresh_enabled()
-        finally:
-            set_refresh(None)
-
-
 class TestCrashResync:
     def test_resend_request_restores_state_within_one_period(self):
         """After a CM outage, a stale Refresh is answered by ResendRequest
         and the sender's full re-advertisement rebuilds the store within
         one advertising period of recovery (the E1 claim, kept)."""
-        set_refresh(True)
-        try:
+        with override(refresh=True):
             pool = _build_pool(machines=4)
             sent = []
             _spy_network(pool, sent)
@@ -198,8 +171,6 @@ class TestCrashResync:
             # And the pool still drains normally afterwards.
             pool.run_until_quiescent(check_interval=60.0, max_time=100_000.0)
             assert all(job.done for job in pool.jobs())
-        finally:
-            set_refresh(None)
 
 
 class TestChaosBothModes:
@@ -216,20 +187,19 @@ class TestChaosBothModes:
         obs.reset()
         reset_message_ids()
         reset_cycle_ids()
-        set_refresh(refresh)
         obs.enable(events=True)
         try:
-            pool = _build_pool(
-                seed=plan.seed, machines=5, chaos=plan, horizon=horizon
-            )
-            batch = _batch(jobs=8)
-            pool.submit_all(
-                batch, arrival_times=[5.0 * j for j in range(len(batch))]
-            )
-            pool.run_until_quiescent(check_interval=60.0, max_time=8.0 * horizon)
-            events = list(obs.event_log.events())
+            with override(refresh=refresh):
+                pool = _build_pool(
+                    seed=plan.seed, machines=5, chaos=plan, horizon=horizon
+                )
+                batch = _batch(jobs=8)
+                pool.submit_all(
+                    batch, arrival_times=[5.0 * j for j in range(len(batch))]
+                )
+                pool.run_until_quiescent(check_interval=60.0, max_time=8.0 * horizon)
+                events = list(obs.event_log.events())
         finally:
-            set_refresh(None)
             obs.disable()
             obs.reset()
         assert all(job.done for job in pool.jobs())
@@ -243,13 +213,10 @@ class TestIncrementalViewsMatchNaive:
     scratch recomputation over the store."""
 
     def _run_partial(self, until=700.0):
-        set_refresh(True)
-        try:
+        with override(refresh=True):
             pool = _build_pool(machines=5)
             pool.submit_all(_batch(jobs=8), arrival_times=[5.0 * j for j in range(8)])
             pool.run_until(until)
-        finally:
-            set_refresh(None)
         return pool
 
     @staticmethod

@@ -66,10 +66,10 @@ class TestQueueAndAdvertising:
         assert ads[0].ad.evaluate("Owner") == "alice"
 
     def test_periodic_refresh_of_idle_jobs(self):
-        from repro.protocols import Refresh, set_refresh
+        from repro.config import override
+        from repro.protocols import Refresh
 
-        set_refresh(True)
-        try:
+        with override(refresh=True):
             sim, net, ca, collector_inbox, _ = make_schedd()
             ca.submit(Job(owner="alice", total_work=100))
             sim.run_until(130.0)
@@ -84,8 +84,6 @@ class TestQueueAndAdvertising:
             assert isinstance(ads[0], Advertisement)
             assert any(isinstance(m, Refresh) for m in ads)
             assert len({m.name for m in ads}) == 1
-        finally:
-            set_refresh(None)
 
     def test_metrics_count_submissions(self):
         sim, net, ca, _, _ = make_schedd()
@@ -411,10 +409,9 @@ class TestRecoveryUnderLoss:
         assert job.state is JobState.IDLE
 
     def test_lease_silence_recovers_job(self):
-        from repro.protocols import set_retries
+        from repro.config import override
 
-        set_retries(True)
-        try:
+        with override(retry=True):
             sim, net, ca, collector_inbox, machine_inbox = make_schedd()
             job = Job(owner="alice", total_work=100)
             ca.submit(job)
@@ -423,15 +420,12 @@ class TestRecoveryUnderLoss:
             sim.run_until(sim.now + 400.0)  # > lease_duration of 120
             assert job.state is JobState.IDLE
             assert job.restarts == 1
-        finally:
-            set_retries(None)
 
     def test_lease_nack_recovers_job_immediately(self):
         from repro.condor.messages import LeaseAck
-        from repro.protocols import set_retries
+        from repro.config import override
 
-        set_retries(True)
-        try:
+        with override(retry=True):
             sim, net, ca, collector_inbox, machine_inbox = make_schedd()
             job = Job(owner="alice", total_work=100)
             ca.submit(job)
@@ -443,5 +437,3 @@ class TestRecoveryUnderLoss:
             )
             sim.run_until(sim.now + 1.0)
             assert job.state is JobState.IDLE
-        finally:
-            set_retries(None)

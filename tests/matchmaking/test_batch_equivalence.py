@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classads import ClassAd
+from repro.config import override
 from repro.matchmaking import (
     Accountant,
     CycleStats,
     Matchmaker,
     ProviderIndex,
-    batching_enabled,
     negotiation_cycle,
-    set_batching,
 )
 from repro.obs import event_log
 
@@ -291,17 +290,13 @@ class TestQuotaRounding:
 
 
 class TestKillSwitch:
-    def test_set_batching_toggles(self):
+    def test_override_toggles_batching(self):
         providers = [machine(f"m{i}") for i in range(3)]
         grouped = {"alice": [request("alice", i) for i in range(4)]}
-        original = batching_enabled()
-        try:
-            set_batching(False)
+        with override(batch=False):
             _, stats_off = run_cycle(providers, grouped, batch=None, use_index=False)
-            set_batching(True)
+        with override(batch=True):
             _, stats_on = run_cycle(providers, grouped, batch=None, use_index=False)
-        finally:
-            set_batching(original)
         assert stats_off.request_classes == 0
         assert stats_off.pairings_saved == 0
         assert stats_on.request_classes == 1

@@ -5,7 +5,7 @@ worker processes is *bit-for-bit identical* to the serial engine —
 same assignments, same preemptions, same fair-share outcomes, same
 ``repro-events/1`` forensic stream — because workers only evaluate
 pure (class, provider) pairings and the parent commits serially in
-the same order.  Also under test: the kill-switch, the pair-count
+the same order.  Also under test: 0 workers routing serial, the pair-count
 threshold fallback, dead-pool degradation, and determinism of two
 same-seed chaos recordings with workers enabled.
 """
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cli import main
+from repro.config import override
 from repro.matchmaking import Accountant, ProviderIndex
 from repro.matchmaking import parallel as par
 from repro.obs import event_log
@@ -41,16 +42,8 @@ VARIABLE_FIELDS = {
 @pytest.fixture(autouse=True)
 def _worker_pool():
     """Force a 2-worker pool with no fallback threshold, restore after."""
-    prev_workers = par.scoring_workers()
-    prev_threshold = par.pair_threshold()
-    prev_enabled = par.parallelism_enabled()
-    par.set_parallelism(True)
-    par.set_scoring_workers(2)
-    par.set_pair_threshold(0)
-    yield
-    par.set_scoring_workers(prev_workers)
-    par.set_pair_threshold(prev_threshold)
-    par.set_parallelism(prev_enabled)
+    with override(scoring_workers=2, pair_threshold=0):
+        yield
     par.shutdown_scoring_pool()
 
 
@@ -111,24 +104,18 @@ class TestParallelEqualsSerial:
         for use_index in (False, True):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=use_index)
-            par.set_parallelism(False)
-            try:
+            with override(scoring_workers=0):
                 off, _ = run_cycle(providers, grouped, batch=True,
                                    use_index=use_index)
-            finally:
-                par.set_parallelism(True)
             assert assignment_key(serial) == assignment_key(off)
 
     def test_preemption_disabled_matches(self):
         providers, grouped = scenario()
         with_workers, _ = run_cycle(providers, grouped, batch=True,
                                     use_index=False, allow_preemption=False)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=False, allow_preemption=False)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(with_workers) == assignment_key(serial)
 
     def test_fair_share_outcomes_match(self):
@@ -137,14 +124,11 @@ class TestParallelEqualsSerial:
             providers, grouped, batch=True, use_index=False,
             accountant=fair_share_accountant(),
         )
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(
                 providers, grouped, batch=True, use_index=False,
                 accountant=fair_share_accountant(),
             )
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(with_workers) == assignment_key(serial)
 
     def test_scoring_actually_engaged_workers(self):
@@ -161,12 +145,9 @@ class TestParallelEqualsSerial:
         providers, grouped = build(machine_params, request_params)
         with_workers, _ = run_cycle(providers, grouped, batch=True,
                                     use_index=False)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=False)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(with_workers) == assignment_key(serial)
 
     @given(machines_strategy, requests_strategy)
@@ -175,12 +156,9 @@ class TestParallelEqualsSerial:
         providers, grouped = build(machine_params, request_params)
         with_workers, _ = run_cycle(providers, grouped, batch=True,
                                     use_index=True)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=True)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(with_workers) == assignment_key(serial)
 
 
@@ -189,9 +167,9 @@ class TestEventStreamParity:
         event_log.reset()
         event_log.enable()
         try:
-            par.set_parallelism(parallel)
-            run_cycle(providers, grouped, batch=True, use_index=use_index,
-                      accountant=fair_share_accountant())
+            with override(scoring_workers=2 if parallel else 0):
+                run_cycle(providers, grouped, batch=True, use_index=use_index,
+                          accountant=fair_share_accountant())
             return [
                 (
                     e.kind,
@@ -203,7 +181,6 @@ class TestEventStreamParity:
                 for e in event_log.events()
             ]
         finally:
-            par.set_parallelism(True)
             event_log.disable()
             event_log.reset()
 
@@ -234,50 +211,25 @@ class TestEventStreamParity:
 class TestKillSwitchAndFallback:
     def test_kill_switch_routes_serial(self):
         providers, grouped = scenario()
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             from repro.matchmaking import CycleStats, negotiation_cycle
             stats = CycleStats()
             negotiation_cycle(grouped, providers, stats=stats, batch=True)
             assert stats.parallel_pairs_scored == 0
             assert stats.parallel_chunks == 0
-        finally:
-            par.set_parallelism(True)
-
-    def test_per_cycle_parallel_override_beats_module_switch(self):
-        providers, grouped = scenario()
-        from repro.matchmaking import CycleStats, negotiation_cycle
-        par.set_parallelism(False)
-        try:
-            stats = CycleStats()
-            negotiation_cycle(grouped, providers, stats=stats, batch=True,
-                              parallel=True)
-            assert stats.parallel_pairs_scored > 0
-        finally:
-            par.set_parallelism(True)
-        stats = CycleStats()
-        negotiation_cycle(grouped, providers, stats=stats, batch=True,
-                          parallel=False)
-        assert stats.parallel_pairs_scored == 0
 
     def test_threshold_fallback_scores_serially(self):
         providers, grouped = scenario()
-        par.set_pair_threshold(10_000)  # pools far below this bar
-        try:
+        with override(pair_threshold=10_000):  # pools far below this bar
             from repro.matchmaking import CycleStats, negotiation_cycle
             stats = CycleStats()
             assignments = negotiation_cycle(grouped, providers, stats=stats,
                                             batch=True)
             assert stats.parallel_pairs_scored == 0
             assert stats.parallel_fallbacks > 0
-        finally:
-            par.set_pair_threshold(0)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=False)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(assignments) == assignment_key(serial)
 
     def test_dead_pool_degrades_to_serial(self):
@@ -296,12 +248,9 @@ class TestKillSwitchAndFallback:
         stats = CycleStats()
         assignments = negotiation_cycle(grouped, providers, stats=stats,
                                         batch=True)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=False)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(assignments) == assignment_key(serial)
 
     def test_worker_misalignment_marks_pool_dead(self):
@@ -318,9 +267,9 @@ class TestKillSwitchAndFallback:
         assert not pool.alive
 
     def test_zero_workers_disables_scoring(self):
-        par.set_scoring_workers(0)
-        assert par.scoring_pool() is None
-        assert par.cycle_scoring([machine("m", memory=64)]) is None
+        with override(scoring_workers=0):
+            assert par.scoring_pool() is None
+            assert par.cycle_scoring([machine("m", memory=64)]) is None
 
 
 class TestPoolLifecycle:
@@ -335,17 +284,14 @@ class TestPoolLifecycle:
         providers, grouped = scenario()
         run_cycle(providers, grouped, batch=True, use_index=False)
         first = par.scoring_pool()
-        par.set_scoring_workers(3)
-        second = par.scoring_pool()
-        assert second is not first
-        assert second.workers == 3
-        with_3, _ = run_cycle(providers, grouped, batch=True, use_index=False)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=3):
+            second = par.scoring_pool()
+            assert second is not first
+            assert second.workers == 3
+            with_3, _ = run_cycle(providers, grouped, batch=True, use_index=False)
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=False)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(with_3) == assignment_key(serial)
 
     def test_mutated_ad_reserializes(self):
@@ -356,12 +302,9 @@ class TestPoolLifecycle:
         providers[0]["Memory"] = 1  # alice's 128MB machine vanishes
         with_workers, _ = run_cycle(providers, grouped, batch=True,
                                     use_index=False)
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial, _ = run_cycle(providers, grouped, batch=True,
                                   use_index=False)
-        finally:
-            par.set_parallelism(True)
         assert assignment_key(with_workers) == assignment_key(serial)
 
 
@@ -412,11 +355,8 @@ class TestChaosDeterminism:
 
     def test_parallel_recording_matches_serial(self, tmp_path):
         with_workers = self._record(tmp_path, "parallel")
-        par.set_parallelism(False)
-        try:
+        with override(scoring_workers=0):
             serial = self._record(tmp_path, "serial")
-        finally:
-            par.set_parallelism(True)
         assert self._normalized(with_workers) == self._normalized(serial)
 
 
@@ -433,7 +373,8 @@ class TestIndexedSubsetMapping:
         from repro.matchmaking import negotiation_cycle
         with_workers = negotiation_cycle(grouped, providers, index=index,
                                          batch=True)
-        serial = negotiation_cycle(grouped, providers,
-                                   index=ProviderIndex(providers),
-                                   batch=True, parallel=False)
+        with override(scoring_workers=0):
+            serial = negotiation_cycle(grouped, providers,
+                                       index=ProviderIndex(providers),
+                                       batch=True)
         assert assignment_key(with_workers) == assignment_key(serial)

@@ -181,11 +181,9 @@ class TestLiveNegotiationForensics:
         assert made[0].fields["provider"] == "m0"
 
     def test_cycle_end_reports_evals_saved(self, global_log):
-        from repro.classads import compile as cc
+        from repro.config import override
 
-        previous = cc.compilation_enabled()
-        cc.set_compilation(True)
-        try:
+        with override(compile=True):
             jobs = [job(1, 'other.Type == "Machine"')]
             pool = [machine()]
             negotiation_cycle({"raman": jobs}, pool)
@@ -196,8 +194,6 @@ class TestLiveNegotiationForensics:
             negotiation_cycle({"raman": jobs}, pool)
             warm = global_log.last("cycle.end").fields
             assert warm["evals_saved"] >= 1
-        finally:
-            cc.set_compilation(previous)
 
     def test_disabled_log_sees_nothing(self):
         event_log.reset()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import CliError, load_ad, load_pool, main
 from repro.classads import ClassAd, dumps
+from repro.config import override, switches
 
 MACHINE_SRC = """[
   Type = "Machine"; Name = "leonardo"; Arch = "INTEL";
@@ -396,6 +397,17 @@ class TestChaosCommand:
     def test_unknown_profile_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["chaos", "mayhem"])
+
+    def test_chaos_restores_the_callers_switches(self, capsys):
+        # --no-retry and --workers used to restore the retry switch from
+        # the environment, not from what the caller had set.
+        with override(retry=False, scoring_workers=0, pair_threshold=77):
+            main(["chaos", "lossy", "--no-retry", "--workers", "2",
+                  "--machines", "3", "--jobs", "2", "--horizon", "600"])
+            assert switches.retry is False
+            assert switches.scoring_workers == 0
+            assert switches.pair_threshold == 77
+        capsys.readouterr()
 
 
 class TestLifecycleCommands:
